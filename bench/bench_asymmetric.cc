@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   table.print(std::cout, args.csv);
   std::printf("\nreading: every protocol localizes l_4; the signature "
               "variant pays >100%% byte overhead (a 2.1 KB signature per "
-              "ack vs 8-byte MACs) and two orders of magnitude more "
-              "CPU — footnote 1's dismissal, quantified.\n");
+              "ack vs 8-byte MACs) and tens of times more CPU — "
+              "footnote 1's dismissal, quantified.\n");
   return 0;
 }

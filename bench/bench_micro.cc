@@ -11,7 +11,9 @@
 #include "crypto/keystore.h"
 #include "crypto/provider.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/siphash.h"
+#include "crypto/wots.h"
 #include "net/onion.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -32,6 +34,16 @@ void BM_Sha256_1KB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KB);
 
+// The W-OTS chaining function: SHA-256 of one 32-byte value.
+void BM_Sha256_32B(benchmark::State& state) {
+  crypto::Digest32 value{};
+  for (auto _ : state) {
+    crypto::detail::hash32_iterate(value.data(), 1);
+    benchmark::DoNotOptimize(value);
+  }
+}
+BENCHMARK(BM_Sha256_32B);
+
 void BM_HmacSha256_64B(benchmark::State& state) {
   Bytes key(32, 0x11), msg(64, 0x22);
   for (auto _ : state) {
@@ -41,6 +53,41 @@ void BM_HmacSha256_64B(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacSha256_64B);
+
+// One W-OTS operation per iteration, on a fresh key index each time as
+// sig-ack uses them (index = packet sequence number).
+void BM_WotsSign(benchmark::State& state) {
+  const crypto::Key seed = crypto::test_master_key(3);
+  const Bytes msg(33, 0x5a);
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::wots_sign(seed, index++, ByteView(msg.data(), msg.size())));
+  }
+}
+BENCHMARK(BM_WotsSign);
+
+void BM_WotsVerify(benchmark::State& state) {
+  const crypto::Key seed = crypto::test_master_key(3);
+  const Bytes msg(33, 0x5a);
+  const crypto::WotsPublicKey pk = crypto::wots_public_key(seed, 0);
+  const ByteView m(msg.data(), msg.size());
+  const Bytes sig = crypto::wots_sign(seed, 0, m);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::wots_verify(pk, m, ByteView(sig.data(), sig.size())));
+  }
+}
+BENCHMARK(BM_WotsVerify);
+
+void BM_WotsPublicKey(benchmark::State& state) {
+  const crypto::Key seed = crypto::test_master_key(3);
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::wots_public_key(seed, index++));
+  }
+}
+BENCHMARK(BM_WotsPublicKey);
 
 void BM_SipHash_64B(benchmark::State& state) {
   crypto::Key128 key{};

@@ -4,6 +4,13 @@
 // H(m) are (truncated) SHA-256 digests, and HMAC-SHA256 provides the MAC and
 // PRF the protocols rely on. Verified against NIST test vectors in
 // tests/crypto_test.cc.
+//
+// Compression dispatch: the process uses the x86 SHA-extensions kernel when
+// CPUID reports SHA-NI (with SSE4.1 and SSSE3), and otherwise the portable
+// scalar kernel, which stays the reference the SHA-NI kernel is tested
+// against. The choice is made once, on first use; there is no flag, env
+// var or build option. Digests are identical either way
+// (crypto/sha256_kernels.h).
 #pragma once
 
 #include <array>
@@ -23,7 +30,8 @@ class Sha256 {
   void update(ByteView data);
 
   /// Finalizes and returns the digest. The object must not be reused
-  /// afterwards without calling reset().
+  /// afterwards without calling reset(). Copying an object mid-stream
+  /// keeps its midstate (HMAC pads absorbed once, see hmac.h).
   Digest32 finish();
 
   void reset();
@@ -32,8 +40,6 @@ class Sha256 {
   static Digest32 digest(ByteView data);
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -4,6 +4,8 @@
 
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
+#include "obs/profile.h"
 
 namespace paai::crypto {
 
@@ -27,60 +29,60 @@ std::array<std::uint8_t, kWotsChains> digits_of(ByteView message) {
   return digits;
 }
 
-/// Secret chain head for (seed, key index, chain).
-Digest32 chain_head(const Key& seed, std::uint64_t index, std::size_t chain) {
-  Bytes input;
-  input.reserve(16);
+/// Secret chain head for (key index, chain): HMAC under the seed, whose
+/// pad midstates `seed_mac` holds for the whole sign/keygen call.
+Digest32 chain_head(const HmacSha256& seed_mac, std::uint64_t index,
+                    std::size_t chain) {
+  std::array<std::uint8_t, 9> input{};
   for (int i = 0; i < 8; ++i) {
-    input.push_back(static_cast<std::uint8_t>(index >> (56 - 8 * i)));
+    input[i] = static_cast<std::uint8_t>(index >> (56 - 8 * i));
   }
-  input.push_back(static_cast<std::uint8_t>(chain));
-  return hmac_sha256(ByteView(seed.data(), seed.size()),
-                     ByteView(input.data(), input.size()));
-}
-
-/// Applies the chaining function `steps` times.
-Digest32 advance(Digest32 value, std::size_t steps) {
-  for (std::size_t s = 0; s < steps; ++s) {
-    value = Sha256::digest(ByteView(value.data(), value.size()));
-  }
-  return value;
+  input[8] = static_cast<std::uint8_t>(chain);
+  return seed_mac.tag(ByteView(input.data(), input.size()));
 }
 
 }  // namespace
 
+// W-OTS calls bypass CryptoProvider, so each opens its own kCrypto scope
+// for the phase profiler.
+
 WotsPublicKey wots_public_key(const Key& seed, std::uint64_t index) {
-  Sha256 acc;
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
+  const HmacSha256 seed_mac(ByteView(seed.data(), seed.size()));
+  std::array<std::uint8_t, kWotsSignatureSize> ends{};
   for (std::size_t c = 0; c < kWotsChains; ++c) {
-    const Digest32 end = advance(chain_head(seed, index, c), kWotsDepth);
-    acc.update(ByteView(end.data(), end.size()));
+    const Digest32 head = chain_head(seed_mac, index, c);
+    std::memcpy(ends.data() + 32 * c, head.data(), 32);
+    detail::hash32_iterate(ends.data() + 32 * c, kWotsDepth);
   }
-  return acc.finish();
+  return Sha256::digest(ByteView(ends.data(), ends.size()));
 }
 
 Bytes wots_sign(const Key& seed, std::uint64_t index, ByteView message) {
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
+  const HmacSha256 seed_mac(ByteView(seed.data(), seed.size()));
   const auto digits = digits_of(message);
-  Bytes signature;
-  signature.reserve(kWotsSignatureSize);
+  Bytes signature(kWotsSignatureSize);
   for (std::size_t c = 0; c < kWotsChains; ++c) {
-    const Digest32 v = advance(chain_head(seed, index, c), digits[c]);
-    signature.insert(signature.end(), v.begin(), v.end());
+    const Digest32 head = chain_head(seed_mac, index, c);
+    std::memcpy(signature.data() + 32 * c, head.data(), 32);
+    detail::hash32_iterate(signature.data() + 32 * c, digits[c]);
   }
   return signature;
 }
 
 bool wots_verify(const WotsPublicKey& pk, ByteView message,
                  ByteView signature) {
+  const obs::ScopedPhase phase(obs::Phase::kCrypto);
   if (signature.size() != kWotsSignatureSize) return false;
   const auto digits = digits_of(message);
-  Sha256 acc;
+  std::array<std::uint8_t, kWotsSignatureSize> ends{};
+  std::memcpy(ends.data(), signature.data(), ends.size());
   for (std::size_t c = 0; c < kWotsChains; ++c) {
-    Digest32 v;
-    std::memcpy(v.data(), signature.data() + 32 * c, 32);
-    v = advance(v, kWotsDepth - digits[c]);
-    acc.update(ByteView(v.data(), v.size()));
+    detail::hash32_iterate(ends.data() + 32 * c, kWotsDepth - digits[c]);
   }
-  const WotsPublicKey computed = acc.finish();
+  const WotsPublicKey computed =
+      Sha256::digest(ByteView(ends.data(), ends.size()));
   return ct_equal(ByteView(computed.data(), computed.size()),
                   ByteView(pk.data(), pk.size()));
 }

@@ -1,10 +1,13 @@
 // Crypto substrate tests: official test vectors for SHA-256 (FIPS 180-4 /
 // NIST CAVS), HMAC-SHA256 (RFC 4231), ChaCha20 (RFC 8439), and SipHash-2-4
 // (reference vectors from the SipHash paper), plus behavioural tests for
-// the provider seam, key store, and keyed samplers.
+// the provider seam, key store, and keyed samplers. The SHA-256 kernel
+// tests cross-check the SHA-NI kernel, the one-block padding and the
+// fixed-32-byte chain step against the scalar reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -12,6 +15,7 @@
 #include "crypto/provider.h"
 #include "crypto/sampler.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/siphash.h"
 #include "util/bytes.h"
 
@@ -101,6 +105,168 @@ TEST(Hmac, Rfc4231LongKey) {
                                    ByteView(msg.data(), msg.size()));
   EXPECT_EQ(hex_digest(tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// RFC 4231 cases through one HmacSha256 per key, each key object tagging
+// twice: the pad midstates must survive reuse.
+TEST(Hmac, MidstateMatchesRfc4231) {
+  struct Case {
+    Bytes key;
+    Bytes msg;
+    const char* tag;
+  };
+  Bytes case4_key(25);
+  for (std::size_t i = 0; i < case4_key.size(); ++i) {
+    case4_key[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  const Case cases[] = {
+      {Bytes(20, 0x0b), bytes_of("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {case4_key, Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {Bytes(131, 0xaa),
+       bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {Bytes(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (const Case& c : cases) {
+    const HmacSha256 mac(ByteView(c.key.data(), c.key.size()));
+    const ByteView msg(c.msg.data(), c.msg.size());
+    EXPECT_EQ(hex_digest(mac.tag(msg)), c.tag);
+    EXPECT_EQ(hex_digest(mac.tag(msg)), c.tag);
+    EXPECT_EQ(hex_digest(hmac_sha256(ByteView(c.key.data(), c.key.size()),
+                                     msg)),
+              c.tag);
+  }
+}
+
+// Known-answer pins recorded from the original single-path implementation
+// (per-byte padding, scalar compression, no midstates): key byte i is
+// 3i+1, message byte i is 7i+5. Lengths straddle the pad and block edges.
+TEST(Hmac, KnownAnswerPins) {
+  struct Pin {
+    std::size_t key_len;
+    std::size_t msg_len;
+    const char* tag;
+  };
+  const Pin pins[] = {
+      {0, 0, "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad"},
+      {32, 9, "a137291866fc16808a06b112a9df13d27006a790975106b4fe056b80770e17a3"},
+      {32, 55, "0c5db2902b9572b7e0414ac63fd9b2910f160fc75c9e8bc6940f7dc5be9ad355"},
+      {32, 56, "4d7a80c2f5e66a6311e6977c72e26f002b0f71f499efebf8cb291b7e9d9e81c5"},
+      {32, 64, "7c49961ad2027b8fb8fa73ec3fbce285be194ff0e1b14dceb7a684fbcef72a4d"},
+      {64, 200, "a94ecbedd87d4fa8152c0a5af463e1602b6b3f0a799534cb64d8926fcc1b841e"},
+      {65, 0, "e31ef03f320a872a66745a4dc37b38db1cdfd9052b357ff06184a5c3c1b32858"},
+      {65, 200, "c50f1d1bf9c280845b9d28ed5b6ef407c60c9539d3cb183327cbcff60665dfa4"},
+  };
+  for (const Pin& p : pins) {
+    Bytes key(p.key_len), msg(p.msg_len);
+    for (std::size_t i = 0; i < key.size(); ++i) {
+      key[i] = static_cast<std::uint8_t>(3 * i + 1);
+    }
+    for (std::size_t i = 0; i < msg.size(); ++i) {
+      msg[i] = static_cast<std::uint8_t>(7 * i + 5);
+    }
+    EXPECT_EQ(hex_digest(hmac_sha256(ByteView(key.data(), key.size()),
+                                     ByteView(msg.data(), msg.size()))),
+              p.tag)
+        << "key " << p.key_len << " msg " << p.msg_len;
+  }
+}
+
+// SHA-256 with textbook padding (0x80, zeros, 64-bit length appended to a
+// copy of the message) over the scalar kernel: the reference the streaming
+// one-block padding must match.
+Digest32 reference_digest(const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0x00);
+  const std::uint64_t bits = 8 * static_cast<std::uint64_t>(msg.size());
+  for (int i = 0; i < 8; ++i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (56 - 8 * i)));
+  }
+  detail::Sha256State state = detail::kSha256Init;
+  detail::compress_scalar(state, padded.data(), padded.size() / 64);
+  Digest32 out;
+  detail::store_digest(state, out.data());
+  return out;
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalar) {
+#if defined(PAAI_SHA256_HAVE_SHANI)
+  if (!detail::sha_ni_supported()) {
+    GTEST_SKIP() << "CPU lacks SHA-NI";
+  }
+  std::mt19937_64 rng(20260417);
+  std::uint8_t blocks[4 * 64];
+  for (int trial = 0; trial < 10000; ++trial) {
+    detail::Sha256State state;
+    for (auto& w : state) w = static_cast<std::uint32_t>(rng());
+    for (auto& b : blocks) b = static_cast<std::uint8_t>(rng());
+    // Mostly single blocks (the W-OTS shape), some multi-block runs.
+    const std::size_t n = trial % 8 == 0 ? 1 + rng() % 4 : 1;
+    detail::Sha256State scalar = state;
+    detail::Sha256State shani = state;
+    detail::compress_scalar(scalar, blocks, n);
+    detail::compress_shani(shani, blocks, n);
+    ASSERT_EQ(scalar, shani) << "trial " << trial << " blocks " << n;
+  }
+#else
+  GTEST_SKIP() << "not an x86 build";
+#endif
+}
+
+TEST(Sha256Kernels, DispatchPicksShaNiExactlyWhenSupported) {
+#if defined(PAAI_SHA256_HAVE_SHANI)
+  EXPECT_EQ(detail::compress_fn() == &detail::compress_shani,
+            detail::sha_ni_supported());
+#else
+  EXPECT_EQ(detail::compress_fn(), &detail::compress_scalar);
+#endif
+}
+
+// Every length 0..300 (so every padding case, 55/56/63/64 included), fed
+// in three pieces at random split points, against the textbook reference.
+TEST(Sha256Kernels, IncrementalMatchesReferenceAllLengths) {
+  std::mt19937_64 rng(7);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Bytes msg(len);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng());
+    const Digest32 expected = reference_digest(msg);
+    ASSERT_EQ(Sha256::digest(ByteView(msg.data(), msg.size())), expected)
+        << "one-shot, length " << len;
+    std::size_t a = len == 0 ? 0 : rng() % (len + 1);
+    std::size_t b = len == 0 ? 0 : rng() % (len + 1);
+    if (a > b) std::swap(a, b);
+    Sha256 h;
+    h.update(ByteView(msg.data(), a));
+    h.update(ByteView(msg.data() + a, b - a));
+    h.update(ByteView(msg.data() + b, len - b));
+    ASSERT_EQ(h.finish(), expected)
+        << "length " << len << " split " << a << "/" << b;
+  }
+}
+
+TEST(Sha256Kernels, Hash32MatchesDigest) {
+  std::mt19937_64 rng(32);
+  for (std::size_t steps = 0; steps <= 16; ++steps) {
+    Digest32 value;
+    for (auto& b : value) b = static_cast<std::uint8_t>(rng());
+    Digest32 expected = value;
+    for (std::size_t s = 0; s < steps; ++s) {
+      expected = Sha256::digest(ByteView(expected.data(), expected.size()));
+    }
+    detail::hash32_iterate(value.data(), steps);
+    EXPECT_EQ(value, expected) << "steps " << steps;
+  }
 }
 
 // RFC 8439 §2.3.2 block function test vector.
@@ -256,7 +422,8 @@ TEST(SelectionPredicate, SelectedNodeIsUniform) {
   for (int t = 0; t < trials; ++t) {
     std::uint8_t challenge[8];
     for (int b = 0; b < 8; ++b) {
-      challenge[b] = static_cast<std::uint8_t>((t * 2654435761u) >> (8 * b));
+      challenge[b] = static_cast<std::uint8_t>(
+          (static_cast<std::uint64_t>(t) * 2654435761u) >> (8 * b));
     }
     const std::size_t e =
         selected_node(*crypto, keys, ByteView(challenge, 8), d);

@@ -292,6 +292,21 @@ TEST(Integration, TelemetryNeverAffectsResults) {
   }
 }
 
+// W-OTS runs outside CryptoProvider, so its own kCrypto scopes are what
+// book sig-ack's hashing to crypto rather than to the enclosing sim-loop
+// handler. Phases nest: crypto ns is a share of sim-loop ns.
+TEST(Integration, SigAckProfileAttributesCrypto) {
+  runner::ExperimentConfig cfg =
+      runner::paper_config(protocols::ProtocolKind::kSigAck, 300, 11);
+  ProfilerGuard prof;
+  runner::run_experiment(cfg);
+  const PhaseTotals crypto = PhaseProfiler::global().totals(Phase::kCrypto);
+  const PhaseTotals sim = PhaseProfiler::global().totals(Phase::kSimLoop);
+  ASSERT_GT(sim.ns, 0u);
+  EXPECT_GE(2 * crypto.ns, sim.ns)
+      << "crypto " << crypto.ns << " ns vs sim-loop " << sim.ns << " ns";
+}
+
 // --- serve lag / back-pressure --------------------------------------
 
 TEST(ServeLag, ThrottledConsumerShowsBacklogAndLag) {

@@ -1,6 +1,7 @@
 // W-OTS signature tests and the signature-ack protocol end-to-end.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
 #include "crypto/wots.h"
 #include "runner/experiment.h"
 
@@ -65,6 +66,51 @@ TEST(Wots, ChecksumPreventsTrivialDigitIncrease) {
   // Cross-verification must fail.
   EXPECT_FALSE(wots_verify(pk, ByteView(m2.data(), m2.size()),
                            ByteView(s1.data(), s1.size())));
+}
+
+// Known-answer pins recorded from the original implementation (per-call
+// HMAC pads, per-byte padding, scalar compression). The signature is
+// pinned by its first chain value and its SHA-256.
+TEST(Wots, KnownAnswerPins) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t index;
+    const char* message;
+    const char* pk;
+    const char* sig_head;
+    const char* sig_sha256;
+  };
+  const Pin pins[] = {
+      {1, 0, "m",
+       "eaa0e3e784286239ab8b0afb5b3627a45df2c45d9ba1929fb1c105bdcdd8a85a",
+       "1c21c83f28e1e54ecdc187958b43a558a7807ba3391cf4ac2eedc70cfd072ace",
+       "25bea11c395ad5c2e2995c5f15226068f81efe0285da70f7d32c289a306d4dfb"},
+      {7, 42, "packet 42 arrived intact",
+       "648b0c9813e28f951ae7b8f7a76cfa9492fc80be17192cd373acf355e81f5e7b",
+       "3a3420ba68bac9c8794e593516a1934f6ff4fbdfe3a0f572c2230c8a7568d9d6",
+       "5b44ab73f1f85594f387a7e0a28f03d00ac78982c0bb65136d4a1d8b0ff0644f"},
+      {1234567, 0xfedcba9876543210ULL, "",
+       "078d945cd4d1ca3e1e7a75b770215428623a239c5e6bf32e1244c74b02c53a4a",
+       "66df3505f1f08ddf6171d9098ff307a8f4f1e55ee83d7de4223b536433945b26",
+       "accf77db01329fab5f4e814dfb1bcc1db1744dc581530b21f0dda14611105034"},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.message);
+    const Key seed = test_master_key(p.seed);
+    const Bytes msg = bytes_of(p.message);
+    const WotsPublicKey pk = wots_public_key(seed, p.index);
+    EXPECT_EQ(to_hex(ByteView(pk.data(), pk.size())), p.pk);
+    const Bytes sig =
+        wots_sign(seed, p.index, ByteView(msg.data(), msg.size()));
+    ASSERT_EQ(sig.size(), kWotsSignatureSize);
+    EXPECT_EQ(to_hex(ByteView(sig.data(), 32)), p.sig_head);
+    const Digest32 sig_digest =
+        Sha256::digest(ByteView(sig.data(), sig.size()));
+    EXPECT_EQ(to_hex(ByteView(sig_digest.data(), sig_digest.size())),
+              p.sig_sha256);
+    EXPECT_TRUE(wots_verify(pk, ByteView(msg.data(), msg.size()),
+                            ByteView(sig.data(), sig.size())));
+  }
 }
 
 }  // namespace
