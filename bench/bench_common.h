@@ -37,7 +37,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "adversary/spec.h"
 #include "faults/plan.h"
@@ -48,7 +47,6 @@
 #include "obs/tracer.h"
 #include "runner/montecarlo.h"
 #include "util/csv.h"
-#include "util/specgrammar.h"
 
 namespace paai::bench {
 
@@ -82,16 +80,7 @@ struct BenchArgs {
       args.faults = faults::FaultPlan::parse(*spec);
     }
     if (const auto spec = flag_str(argc, argv, "--adversary")) {
-      // Parse only what is recognizably the plan grammar (compact clauses
-      // carry '@', JSON starts with '[' or '{'); anything else is left for
-      // the program — the paai CLI accepts a legacy NODE:KIND:RATE form
-      // through the same argv.
-      const std::string_view t = util::spec_trim(*spec);
-      if (!t.empty() &&
-          (t.find('@') != std::string_view::npos || t.front() == '[' ||
-           t.front() == '{')) {
-        args.adversaries = adversary::AdversaryPlan::parse(*spec);
-      }
+      args.adversaries = adversary::AdversaryPlan::parse(*spec);
     }
     return args;
   }

@@ -9,13 +9,15 @@
 // Part 2 (Corollary 2): a fixed budget of z = 3 malicious links, placed
 // either concentrated on one path or spread one-per-path across three
 // paths. Spreading maximizes total undetected damage (~linear in z), and
-// every touched path still convicts its malicious link.
+// every touched path still convicts its malicious link. The fleet is the
+// mesh packet engine on linear@4: one link-disjoint chain per path.
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "analysis/bounds.h"
 #include "bench_common.h"
-#include "runner/fleet.h"
+#include "mesh/runner.h"
 #include "util/csv.h"
 
 using namespace paai;
@@ -94,22 +96,21 @@ int main(int argc, char** argv) {
   const std::size_t fleet_reps = std::max<std::size_t>(args.runs_or(16) / 2, 4);
   for (const double rate : {0.02, 0.15}) {
     for (const bool is_spread : {true, false}) {
-      FleetConfig cfg;
-      cfg.base = paper_config(protocols::ProtocolKind::kPaai1,
-                              args.scaled(60000), 0);
+      mesh::MeshConfig cfg;
+      cfg.engine = mesh::MeshEngine::kPacket;
+      cfg.packet_base = paper_config(protocols::ProtocolKind::kPaai1,
+                                     args.scaled(60000), 0);
+      cfg.packet_base.link_faults.clear();
+      cfg.topo = mesh::Topology::linear(4, cfg.packet_base.path.length);
+      cfg.paths = cfg.topo.enumerate_paths(4, /*seed=*/0);
       cfg.jobs = args.jobs;
-      cfg.base.link_faults.clear();
-      if (is_spread) {
-        cfg.paths = {{LinkFault{4, rate}},
-                     {LinkFault{2, rate}},
-                     {LinkFault{3, rate}},
-                     {}};
-      } else {
-        cfg.paths = {{LinkFault{2, rate}, LinkFault{3, rate},
-                      LinkFault{4, rate}},
-                     {},
-                     {},
-                     {}};
+      // Planted hop positions per path, mapped to mesh link ids.
+      std::vector<std::vector<std::size_t>> planted = {{2, 3, 4}, {}, {}, {}};
+      if (is_spread) planted = {{4}, {2}, {3}, {}};
+      for (std::size_t i = 0; i < planted.size(); ++i) {
+        for (const std::size_t hop : planted[i]) {
+          cfg.link_faults.push_back({cfg.paths.links(i)[hop], rate});
+        }
       }
       std::fprintf(stderr, "[cor2] %s rate=%.2f...\n",
                    is_spread ? "spread" : "concentrated", rate);
@@ -118,9 +119,9 @@ int main(int argc, char** argv) {
       bool framed = false;
       for (std::size_t rep = 0; rep < fleet_reps; ++rep) {
         cfg.seed0 = 9000 + rep * 101;
-        const FleetResult fr = run_fleet(cfg);
+        const mesh::MeshResult fr = mesh::run_mesh(cfg);
         damage.add(fr.total_damage);
-        for (const auto& p : fr.paths) {
+        for (const auto& p : fr.path_outcomes) {
           if (!p.malicious.empty()) {
             all_convicted &= p.all_malicious_convicted;
           }

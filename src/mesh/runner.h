@@ -17,9 +17,10 @@
 //             run_experiment() discrete-event simulation (all seven
 //             protocols, adaptive adversaries, fault injection) and its
 //             per-link theta estimates are projected into rate-preserving
-//             (units, blames) evidence. run_fleet() is exactly this
-//             engine on a linear topology — the degenerate link-disjoint
-//             case.
+//             (units, blames) evidence. On linear@P (one link-disjoint
+//             chain per path) it is the Corollary 2 fleet: per-path
+//             outcomes, a clean baseline seeded seed0, path i seeded
+//             ShardPlan(seed0 + 1).seed(i), damage folded in path order.
 //
 // Both engines fan out over the src/exec pool and are bit-identical for
 // any --jobs value: the path range is cut into exec::fixed_tile_count
@@ -108,18 +109,13 @@ struct MeshConfig {
 
   // --- Packet engine only -------------------------------------------
   /// Template experiment (protocol, rates, params). Per path, its length
-  /// is overridden to the path's hop count and its seed to the path's
-  /// ShardPlan seed.
+  /// is overridden to the path's hop count, its seed to the path's
+  /// ShardPlan seed, and its adversaries/faults to the mesh-level plans
+  /// mapped onto the path's local indices. The template with its
+  /// malicious state stripped (benign FaultPlan kept) seeded seed0 is
+  /// the clean baseline; the stat engine instead uses the closed-form
+  /// (1-rho)^len baseline.
   runner::ExperimentConfig packet_base{};
-  /// Fleet-compat override: when non-empty (one entry per path), each
-  /// path's link_faults are taken VERBATIM (path-local indices) and
-  /// packet_base.faults is applied as-is — exactly the historical
-  /// run_fleet contract. When empty, faults and adversaries are mapped
-  /// from mesh ids to each path's local indices.
-  std::vector<std::vector<runner::LinkFault>> packet_path_faults;
-  /// Run the clean-template baseline experiment (fleet semantics); the
-  /// stat engine instead uses the closed-form (1-rho)^len baseline.
-  bool packet_baseline = true;
 
   /// Optional live telemetry sink (obs/telemetry.h), ticked from each
   /// engine's serialized reducer with cumulative committed units. Purely

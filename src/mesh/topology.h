@@ -12,7 +12,7 @@
 // --adversary, so "fattree@8" parses exactly like "ge@2:pb=0.3"):
 //
 //   linear@C:hops=H    C link-disjoint chains of H links each — the
-//                      degenerate shape run_fleet reduces to
+//                      degenerate shape of Corollary 2's fleet
 //   grid@R:cols=C      R x C lattice, right/down edges; staircase routes
 //                      from the left column to the right column share
 //                      interior nodes

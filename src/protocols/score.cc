@@ -38,15 +38,6 @@ void ScoreTable::set_blame(const BlameSpec& spec) {
   blame_ = spec;
 }
 
-void ScoreTable::set_persistence(std::uint64_t k) {
-  BlameSpec spec;
-  if (k > 0) {
-    spec.mode = BlameSpec::Mode::kPersistent;
-    spec.k = k;
-  }
-  set_blame(spec);
-}
-
 void ScoreTable::roll_window() {
   if (n_ % ledger_.width() != 0) return;
   // Close the window: per-link sliding estimate from this window's blame

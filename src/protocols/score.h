@@ -84,13 +84,6 @@ class ScoreTable {
   void set_blame(const BlameSpec& spec);
   const BlameSpec& blame_spec() const { return blame_; }
 
-  /// Legacy shim for --blame=persistent:K (PR 7 call sites/tests):
-  /// K > 0 selects persistent mode, K == 0 margin mode.
-  void set_persistence(std::uint64_t k);
-  std::uint64_t persistence() const {
-    return blame_.mode == BlameSpec::Mode::kPersistent ? blame_.k : 0;
-  }
-
   /// Per-traversal drop-rate estimate for a link (0 when n == 0).
   double theta(std::size_t link) const;
   std::vector<double> thetas() const;

@@ -48,7 +48,7 @@ BlameSpec BlameSpec::parse(std::string_view text) {
                                     : util::spec_trim(spec.substr(colon + 1));
 
   BlameSpec out;
-  if (head == "margin" || head == "standard") {
+  if (head == "margin") {
     if (colon != std::string_view::npos) {
       util::spec_error(kPrefix, "margin mode takes no arguments");
     }

@@ -74,7 +74,7 @@ inline constexpr std::size_t kWindowRingCap = 8;
 ///          | 'windowed'   [':' W]        W in [8, 2^20)
 ///          | 'hybrid'     [':' K [',' W]]  K in [1, 8]
 ///
-/// ("standard" is accepted as a legacy alias for "margin".) The rules:
+/// The rules:
 ///
 ///   margin       theta_i - sd > threshold            (paper Theorem 2)
 ///   persistent:K s_i >= K and theta_i > threshold    (PR 7)

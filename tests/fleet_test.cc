@@ -1,35 +1,58 @@
-// Fleet-runner tests (Corollary 2 infrastructure): baseline measurement,
-// per-path outcome classification, and damage aggregation. run_fleet is
-// now the degenerate (link-disjoint) case of the mesh runner, so the last
-// test replays the historical serial implementation inline and demands
-// bit-identical numbers.
+// Fleet tests (Corollary 2 infrastructure): the mesh packet engine on
+// linear@P — one link-disjoint chain per path — checked for its baseline
+// measurement, per-path outcome classification, and damage aggregation.
+// The last test replays the pre-mesh serial fleet loop inline and demands
+// bit-identical numbers from run_mesh at jobs 1 and 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "runner/fleet.h"
+#include "mesh/runner.h"
 
-namespace paai::runner {
+namespace paai::mesh {
 namespace {
 
-FleetConfig base_fleet() {
-  FleetConfig cfg;
-  cfg.base = paper_config(protocols::ProtocolKind::kPaai1, 40000, 0);
-  cfg.base.link_faults.clear();
-  cfg.base.params.probe_probability = 1.0 / 9.0;
-  cfg.base.params.send_rate_pps = 1000.0;
+using runner::ExperimentConfig;
+using runner::LinkFault;
+
+/// Planted malicious links per path, as path-local hop positions.
+using Placement = std::vector<std::vector<LinkFault>>;
+
+ExperimentConfig base_template() {
+  ExperimentConfig base =
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 40000, 0);
+  base.link_faults.clear();
+  base.params.probe_probability = 1.0 / 9.0;
+  base.params.send_rate_pps = 1000.0;
+  return base;
+}
+
+/// The fleet as a mesh: path i rides chain i of linear@P, so its hop j is
+/// mesh link paths.links(i)[j].
+MeshConfig fleet(const ExperimentConfig& base, const Placement& placement) {
+  MeshConfig cfg;
+  cfg.engine = MeshEngine::kPacket;
+  cfg.packet_base = base;
+  cfg.topo = Topology::linear(placement.size(), base.path.length);
+  cfg.paths = cfg.topo.enumerate_paths(placement.size(), /*seed=*/0);
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    for (const LinkFault& fault : placement[i]) {
+      cfg.link_faults.push_back(
+          {cfg.paths.links(i)[fault.link], fault.extra_loss});
+    }
+  }
   return cfg;
 }
 
 TEST(Fleet, CleanPathsReportNoDamageOrConvictions) {
-  FleetConfig cfg = base_fleet();
-  cfg.paths = {{}, {}};
-  const FleetResult r = run_fleet(cfg);
-  ASSERT_EQ(r.paths.size(), 2u);
+  const MeshResult r = run_mesh(fleet(base_template(), {{}, {}}));
+  ASSERT_EQ(r.path_outcomes.size(), 2u);
   EXPECT_GT(r.baseline_delivery, 0.9);
   EXPECT_LT(r.total_damage, 0.01);
-  for (const auto& p : r.paths) {
+  for (const auto& p : r.path_outcomes) {
     EXPECT_TRUE(p.convicted.empty());
     EXPECT_TRUE(p.malicious.empty());
     EXPECT_TRUE(p.all_malicious_convicted);  // vacuously
@@ -38,52 +61,59 @@ TEST(Fleet, CleanPathsReportNoDamageOrConvictions) {
 }
 
 TEST(Fleet, ClassifiesConvictionsAgainstGroundTruth) {
-  FleetConfig cfg = base_fleet();
-  cfg.paths = {{LinkFault{4, 0.05}}, {}};
-  const FleetResult r = run_fleet(cfg);
-  ASSERT_EQ(r.paths.size(), 2u);
-  EXPECT_TRUE(r.paths[0].all_malicious_convicted);
-  EXPECT_FALSE(r.paths[0].any_honest_convicted);
-  EXPECT_EQ(r.paths[0].malicious, std::vector<std::size_t>{4});
-  EXPECT_TRUE(r.paths[1].convicted.empty());
+  const MeshResult r =
+      run_mesh(fleet(base_template(), {{LinkFault{4, 0.05}}, {}}));
+  ASSERT_EQ(r.path_outcomes.size(), 2u);
+  EXPECT_TRUE(r.path_outcomes[0].all_malicious_convicted);
+  EXPECT_FALSE(r.path_outcomes[0].any_honest_convicted);
+  EXPECT_EQ(r.path_outcomes[0].malicious, std::vector<std::size_t>{4});
+  EXPECT_TRUE(r.path_outcomes[1].convicted.empty());
   // Damage ~ one path losing ~5% of its traffic.
   EXPECT_NEAR(r.total_damage, 0.05, 0.02);
 }
 
 TEST(Fleet, DamageAddsAcrossPaths) {
-  FleetConfig one = base_fleet();
-  one.paths = {{LinkFault{3, 0.05}}};
-  FleetConfig three = base_fleet();
-  three.paths = {{LinkFault{3, 0.05}},
-                 {LinkFault{3, 0.05}},
-                 {LinkFault{3, 0.05}}};
-  const double d1 = run_fleet(one).total_damage;
-  const double d3 = run_fleet(three).total_damage;
+  const double d1 =
+      run_mesh(fleet(base_template(), {{LinkFault{3, 0.05}}})).total_damage;
+  const double d3 = run_mesh(fleet(base_template(), {{LinkFault{3, 0.05}},
+                                                     {LinkFault{3, 0.05}},
+                                                     {LinkFault{3, 0.05}}}))
+                        .total_damage;
   EXPECT_NEAR(d3, 3.0 * d1, 0.03);
 }
 
-/// The pre-mesh run_fleet, verbatim but serial: clean baseline seeded
-/// seed0, path i seeded seed0 + 1 + i, damage folded in path order.
-FleetResult legacy_run_fleet(const FleetConfig& config) {
-  FleetResult result;
+struct LegacyFleet {
+  std::vector<MeshPathOutcome> paths;
+  double total_damage = 0.0;
+  double baseline_delivery = 0.0;
+};
+
+/// The pre-mesh fleet runner, verbatim but serial: clean baseline seeded
+/// seed0, path i seeded seed0 + 1 + i with its planted links replacing
+/// the template's, damage folded in path order.
+LegacyFleet legacy_serial_fleet(const ExperimentConfig& base,
+                                const Placement& placement,
+                                std::uint64_t seed0) {
+  LegacyFleet result;
   {
-    ExperimentConfig clean = config.base;
+    ExperimentConfig clean = base;
     clean.link_faults.clear();
     clean.adversaries.clear();
-    clean.path.seed = config.seed0;
-    result.baseline_delivery = run_experiment(clean).ground_truth_delivery;
+    clean.path.seed = seed0;
+    result.baseline_delivery =
+        runner::run_experiment(clean).ground_truth_delivery;
   }
-  for (std::size_t i = 0; i < config.paths.size(); ++i) {
-    ExperimentConfig cfg = config.base;
-    cfg.link_faults = config.paths[i];
-    cfg.path.seed = config.seed0 + 1 + i;
-    const ExperimentResult run = run_experiment(cfg);
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    ExperimentConfig cfg = base;
+    cfg.link_faults = placement[i];
+    cfg.path.seed = seed0 + 1 + i;
+    const runner::ExperimentResult run = runner::run_experiment(cfg);
 
-    FleetResult::PathOutcome outcome;
+    MeshPathOutcome outcome;
     outcome.ground_truth_delivery = run.ground_truth_delivery;
     outcome.observed_e2e_rate = run.observed_e2e_rate;
     outcome.convicted = run.final_convicted;
-    for (const auto& fault : config.paths[i]) {
+    for (const auto& fault : placement[i]) {
       outcome.malicious.push_back(fault.link);
     }
     std::sort(outcome.malicious.begin(), outcome.malicious.end());
@@ -108,37 +138,34 @@ FleetResult legacy_run_fleet(const FleetConfig& config) {
 }
 
 TEST(Fleet, MeshBackedFleetReproducesLegacyNumbersBitForBit) {
-  FleetConfig cfg;
-  cfg.base = paper_config(protocols::ProtocolKind::kPaai1, 15000, 0);
-  cfg.base.link_faults.clear();
-  cfg.base.params.probe_probability = 1.0 / 9.0;
-  cfg.base.params.send_rate_pps = 1000.0;
-  cfg.paths = {{LinkFault{4, 0.05}},
-               {},
-               {LinkFault{2, 0.04}, LinkFault{4, 0.05}}};
-  cfg.seed0 = 9000;
+  ExperimentConfig base = base_template();
+  base.params.total_packets = 15000;
+  const Placement placement = {{LinkFault{4, 0.05}},
+                               {},
+                               {LinkFault{2, 0.04}, LinkFault{4, 0.05}}};
+  const std::uint64_t seed0 = 9000;
 
-  const FleetResult want = legacy_run_fleet(cfg);
+  const LegacyFleet want = legacy_serial_fleet(base, placement, seed0);
+  MeshConfig cfg = fleet(base, placement);
+  cfg.seed0 = seed0;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     cfg.jobs = jobs;
-    const FleetResult got = run_fleet(cfg);
+    const MeshResult got = run_mesh(cfg);
     EXPECT_EQ(got.baseline_delivery, want.baseline_delivery);  // bit-exact
     EXPECT_EQ(got.total_damage, want.total_damage);
-    ASSERT_EQ(got.paths.size(), want.paths.size());
+    ASSERT_EQ(got.path_outcomes.size(), want.paths.size());
     for (std::size_t i = 0; i < want.paths.size(); ++i) {
-      EXPECT_EQ(got.paths[i].ground_truth_delivery,
-                want.paths[i].ground_truth_delivery);
-      EXPECT_EQ(got.paths[i].observed_e2e_rate,
-                want.paths[i].observed_e2e_rate);
-      EXPECT_EQ(got.paths[i].convicted, want.paths[i].convicted);
-      EXPECT_EQ(got.paths[i].malicious, want.paths[i].malicious);
-      EXPECT_EQ(got.paths[i].all_malicious_convicted,
-                want.paths[i].all_malicious_convicted);
-      EXPECT_EQ(got.paths[i].any_honest_convicted,
-                want.paths[i].any_honest_convicted);
+      const MeshPathOutcome& g = got.path_outcomes[i];
+      const MeshPathOutcome& w = want.paths[i];
+      EXPECT_EQ(g.ground_truth_delivery, w.ground_truth_delivery);
+      EXPECT_EQ(g.observed_e2e_rate, w.observed_e2e_rate);
+      EXPECT_EQ(g.convicted, w.convicted);
+      EXPECT_EQ(g.malicious, w.malicious);
+      EXPECT_EQ(g.all_malicious_convicted, w.all_malicious_convicted);
+      EXPECT_EQ(g.any_honest_convicted, w.any_honest_convicted);
     }
   }
 }
 
 }  // namespace
-}  // namespace paai::runner
+}  // namespace paai::mesh

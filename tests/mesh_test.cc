@@ -419,14 +419,33 @@ TEST(MeshRunner, PacketEngineMapsMeshPlansOntoPaths) {
 }
 
 TEST(MeshRunner, RejectsOutOfRangeSpecs) {
-  MeshConfig cfg;
-  cfg.topo = Topology::parse("linear@1:hops=6");
-  cfg.paths = cfg.topo.enumerate_paths(2, 0);
-  cfg.adversaries = adversary::AdversaryPlan::parse("uniform@99:rate=0.05");
-  EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
-  cfg.adversaries = {};
-  cfg.link_faults = {{/*link=*/6, 0.05}};
-  EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+  // Both engines share one up-front index check: an out-of-range clause
+  // is an error, never a silently dropped fault.
+  const char* fault_specs[] = {
+      "ge@9999:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15",
+      "set@9999:t=10,loss=0.1",
+      "outage@9999:t=10,dur=5",
+      "reorder@9999:p=0.1,delay=5",
+      "dup@9999:p=0.1",
+  };
+  for (const MeshEngine engine : {MeshEngine::kStat, MeshEngine::kPacket}) {
+    SCOPED_TRACE(engine == MeshEngine::kStat ? "stat" : "packet");
+    MeshConfig cfg;
+    cfg.engine = engine;
+    cfg.topo = Topology::parse("linear@1:hops=6");
+    cfg.paths = cfg.topo.enumerate_paths(2, 0);
+    cfg.adversaries = adversary::AdversaryPlan::parse("uniform@99:rate=0.05");
+    EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+    cfg.adversaries = {};
+    cfg.link_faults = {{/*link=*/6, 0.05}};
+    EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+    cfg.link_faults = {};
+    for (const char* spec : fault_specs) {
+      SCOPED_TRACE(spec);
+      cfg.faults = faults::FaultPlan::parse(spec);
+      EXPECT_THROW(run_mesh(cfg), std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace

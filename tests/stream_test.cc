@@ -403,7 +403,7 @@ TEST(Engine, ConvictionTransitionsFireOnce) {
 
 TEST(Persistence, RequiresKRepetitions) {
   protocols::ScoreTable table(6, /*traversals=*/1.0);
-  table.set_persistence(3);
+  table.set_blame(protocols::BlameSpec::parse("persistent:3"));
   for (int i = 0; i < 200; ++i) table.add_clean();
   table.blame(4);
   table.blame(4);
@@ -418,7 +418,7 @@ TEST(Persistence, RequiresKRepetitions) {
 
 TEST(Persistence, ReplacesMarginNotThreshold) {
   protocols::ScoreTable table(6, /*traversals=*/1.0);
-  table.set_persistence(2);
+  table.set_blame(protocols::BlameSpec::parse("persistent:2"));
   for (int i = 0; i < 100; ++i) table.add_clean();
   table.blame(1);
   table.blame(1);
@@ -448,9 +448,6 @@ TEST(BlameSpec, ParsesEveryModeAndRoundTrips) {
   const protocols::BlameSpec hybrid = protocols::BlameSpec::parse("hybrid");
   EXPECT_EQ(hybrid.k, protocols::kDefaultHybridStreak);
   EXPECT_EQ(hybrid.w, protocols::kDefaultWindowWidth);
-  // "standard" is the historical alias for margin.
-  EXPECT_EQ(protocols::BlameSpec::parse("standard").mode,
-            protocols::BlameSpec::Mode::kMargin);
   // Persistent keeps the PR 7 bare-K wire format.
   EXPECT_EQ(protocols::BlameSpec::parse("persistent:3").encode32(), 3);
   EXPECT_EQ(protocols::BlameSpec::parse("margin").encode32(), 0);
@@ -460,6 +457,7 @@ TEST(BlameSpec, RejectsMalformedSpecs) {
   const char* bad[] = {
       "",             // empty
       "turbo",        // unknown mode
+      "standard",     // retired alias for margin
       "margin:1",     // margin takes no argument
       "persistent:0", // K out of range
       "windowed:7",   // below the minimum width

@@ -46,7 +46,8 @@
 #   7. mesh smoke — a compromised fat-tree core straddling ~100 paths per
 #      out-link; the aggregated cross-path score store (paai mesh) must
 #      convict exactly the core's out-links with witness provenance and
-#      exonerate every honest link.
+#      exonerate every honest link. An out-of-range FaultPlan index must
+#      fail closed (exit 2) under the packet engine, as under stat.
 #
 #   8. detector smoke — the multi-level blame modes (docs/DETECTORS.md):
 #      the fault-colluding adversary (collude@4:rate=1 under the
@@ -235,6 +236,20 @@ grep -q 'witnesses=p' "$SMOKE_DIR/mesh.stdout" || {
 }
 # The emitted paai.bench.v1 report must be valid (self-diff is clean).
 "$ASAN_DIR/tools/bench_diff" "$SMOKE_DIR/mesh.json" "$SMOKE_DIR/mesh.json"
+# Both engines share one up-front index check: a fault clause naming a
+# link the topology lacks is a usage error, never a silently dropped fault.
+range_status=0
+"$ASAN_DIR/tools/paai" mesh --topo=linear@1:hops=6 --paths=2 \
+    --engine=packet --faults='ge@9999:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15' \
+    > "$SMOKE_DIR/mesh_range.stdout" 2> "$SMOKE_DIR/mesh_range.stderr" ||
+  range_status=$?
+if [ "$range_status" -ne 2 ] ||
+   ! grep -q 'ge fault link index 9999 out of range' \
+       "$SMOKE_DIR/mesh_range.stderr"; then
+  echo "leg 7 FAILED: packet engine did not reject ge@9999 (exit $range_status):" >&2
+  cat "$SMOKE_DIR/mesh_range.stderr" >&2
+  exit 1
+fi
 
 echo "== leg 8: detector smoke (multi-level blame modes) =="
 # The hybrid detector's target scenario: the r=1 fault colluder hiding in

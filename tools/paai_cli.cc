@@ -33,14 +33,12 @@
 //   --threshold=X     conviction threshold                  (default rho+0.008)
 //   --seed=N          RNG seed                              (default 1)
 //   --fault=LINK:RATE      link-level malicious extra loss (repeatable)
-//   --adversary=SPEC  node strategy (repeatable). Two forms:
-//                     * declarative plan grammar, compact or JSON — e.g.
-//                       'stealth@4:margin=0.9' or
-//                       'collude@4:rate=0.5;ack@2:rate=0.3' — see
-//                       docs/ADVERSARIES.md for the full catalog
-//                       (adaptive strategies included);
-//                     * legacy NODE:KIND:RATE with KIND in uniform | data |
-//                       ack | corrupt | withhold | withhold-drop
+//   --adversary=SPEC  node strategy (repeatable): the declarative plan
+//                     grammar, compact or JSON — e.g.
+//                     'stealth@4:margin=0.9' or
+//                     'collude@4:rate=0.5;ack@2:rate=0.3' — see
+//                     docs/ADVERSARIES.md for the full catalog (adaptive
+//                     strategies included). A malformed spec exits 2.
 //   --faults=SPEC     scripted benign faults (bursty loss, link churn,
 //                     node outages); compact grammar or JSON — see
 //                     docs/FAULTS.md
@@ -53,7 +51,6 @@
 //                                       W-unit window (W defaults to 192)
 //                       hybrid[:K[,W]]  windowed, plus convict after K
 //                                       consecutive hot windows (K=4)
-//                     "standard" is accepted as an alias for margin.
 //                     Also applies to `paai mesh`, where checkpoint
 //                     rounds are the windows (W is ignored there).
 //   --runs=N          (curve) Monte-Carlo runs              (default 50)
@@ -76,7 +73,7 @@
 //
 // Examples:
 //   paai run --protocol=paai1 --fault=4:0.02
-//   paai run --protocol=fullack --adversary=3:corrupt:0.3 --packets=5000
+//   paai run --protocol=fullack --adversary='corrupt@3:rate=0.3' --packets=5000
 //   paai run --protocol=paai1 --adversary='stealth@4:margin=0.9'
 //   paai run --adversary='collude@4:rate=0.5'
 //            --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15'
@@ -115,7 +112,6 @@
 #include "bench/bench_common.h"
 #include "faults/plan.h"
 #include "mesh/runner.h"
-#include "util/specgrammar.h"
 #include "obs/events.h"
 #include "obs/forensics.h"
 #include "obs/profile.h"
@@ -170,37 +166,8 @@ protocols::ProtocolKind parse_protocol(const std::string& name) {
   throw CliError{"unknown protocol '" + name + "'"};
 }
 
-AdversarySpec parse_legacy_adversary(const std::string& spec) {
-  const auto c1 = spec.find(':');
-  const auto c2 = spec.find(':', c1 + 1);
-  if (c1 == std::string::npos || c2 == std::string::npos) {
-    throw CliError{"--adversary wants NODE:KIND:RATE, got '" + spec + "'"};
-  }
-  AdversarySpec out;
-  out.node = std::stoul(spec.substr(0, c1));
-  const std::string kind = spec.substr(c1 + 1, c2 - c1 - 1);
-  out.rate = std::stod(spec.substr(c2 + 1));
-  if (kind == "uniform") {
-    out.kind = AdversarySpec::Kind::kUniform;
-  } else if (kind == "data") {
-    out.kind = AdversarySpec::Kind::kTypeRates;
-    out.type_rates.data = out.rate;
-  } else if (kind == "ack") {
-    out.kind = AdversarySpec::Kind::kAckOnly;
-  } else if (kind == "corrupt") {
-    out.kind = AdversarySpec::Kind::kCorrupt;
-  } else if (kind == "withhold") {
-    out.kind = AdversarySpec::Kind::kWithholdRelease;
-  } else if (kind == "withhold-drop") {
-    out.kind = AdversarySpec::Kind::kWithholdDrop;
-  } else {
-    throw CliError{"unknown adversary kind '" + kind + "'"};
-  }
-  return out;
-}
-
 /// --blame=margin | persistent[:K] | windowed[:W] | hybrid[:K[,W]]
-/// (protocols/window.h grammar; "standard" = margin for back-compat).
+/// (protocols/window.h grammar).
 protocols::BlameSpec parse_blame_mode(const std::string& mode) {
   try {
     return protocols::BlameSpec::parse(mode);
@@ -236,19 +203,9 @@ ExperimentConfig config_from_args(int argc, char** argv) {
                                         std::stod(f.substr(colon + 1))});
   }
   for (const auto& a : get_all(argc, argv, "adversary")) {
-    // The declarative grammar is recognizable on sight: compact clauses
-    // carry '@', JSON starts with '[' or '{'. Anything else is the legacy
-    // NODE:KIND:RATE form.
-    const std::string_view t = util::spec_trim(a);
-    if (!t.empty() &&
-        (t.find('@') != std::string_view::npos || t.front() == '[' ||
-         t.front() == '{')) {
-      const auto plan = adversary::AdversaryPlan::parse(a);
-      cfg.adversaries.insert(cfg.adversaries.end(), plan.specs.begin(),
-                             plan.specs.end());
-    } else {
-      cfg.adversaries.push_back(parse_legacy_adversary(a));
-    }
+    const auto plan = adversary::AdversaryPlan::parse(a);
+    cfg.adversaries.insert(cfg.adversaries.end(), plan.specs.begin(),
+                           plan.specs.end());
   }
   if (const auto spec = get_opt(argc, argv, "faults")) {
     cfg.faults = faults::FaultPlan::parse(*spec);
@@ -724,16 +681,9 @@ int cmd_mesh(int argc, char** argv) {
                             std::stod(f.substr(colon + 1))});
   }
   for (const auto& a : get_all(argc, argv, "adversary")) {
-    const std::string_view t = util::spec_trim(a);
-    if (!t.empty() &&
-        (t.find('@') != std::string_view::npos || t.front() == '[' ||
-         t.front() == '{')) {
-      const auto plan = adversary::AdversaryPlan::parse(a);
-      cfg.adversaries.specs.insert(cfg.adversaries.specs.end(),
-                                   plan.specs.begin(), plan.specs.end());
-    } else {
-      cfg.adversaries.specs.push_back(parse_legacy_adversary(a));
-    }
+    const auto plan = adversary::AdversaryPlan::parse(a);
+    cfg.adversaries.specs.insert(cfg.adversaries.specs.end(),
+                                 plan.specs.begin(), plan.specs.end());
   }
   if (const auto spec = get_opt(argc, argv, "faults")) {
     cfg.faults = faults::FaultPlan::parse(*spec);
