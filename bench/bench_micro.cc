@@ -4,6 +4,7 @@
 // Monte-Carlo sweeps can be scaled on one core.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
@@ -18,6 +19,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "runner/experiment.h"
+#include "sim/node.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -151,6 +153,29 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_EventQueue);
+
+// The link-delivery event: a node pointer plus a PacketEnv (shared wire
+// bytes, size, direction), the capture every hop schedules. Unlike the
+// empty lambdas above, it is too large for std::function's inline buffer.
+void BM_EventQueuePacketCapture(benchmark::State& state) {
+  sim::Simulator s;
+  sim::Node target(s, 1);
+  const net::DataPacket pkt{1, 2, 100};
+  const sim::PacketEnv env{std::make_shared<const Bytes>(pkt.encode()),
+                           pkt.wire_size(), sim::Direction::kToDest};
+  std::size_t delivered = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      s.after((i * 7919) % 1000, [t = &target, env, &delivered] {
+        delivered += t->index() + env.wire_size;
+      });
+    }
+    s.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+}
+BENCHMARK(BM_EventQueuePacketCapture);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto kind = static_cast<protocols::ProtocolKind>(state.range(0));

@@ -51,21 +51,22 @@ FaultInjector::FaultInjector(sim::Simulator& sim, sim::PathNetwork& net,
   for (const auto& r : plan_.retunes) {
     check_link(r.link, d, "retune");
     sim::Link* link = &net.link(r.link);
-    const auto retunes = obs_.retunes;
+    // `r` points into plan_, which lives as long as the injector; the
+    // capture stays small enough for the simulator's inline handler.
     sim_.at(sim::seconds(r.at_seconds),
-            [link, r, retunes, trace, track, this] {
-              if (r.loss) link->set_loss_rate(*r.loss);
-              if (r.latency_ms) {
-                link->set_latency(sim::milliseconds(*r.latency_ms));
+            [link, rp = &r, trace, track, this] {
+              if (rp->loss) link->set_loss_rate(*rp->loss);
+              if (rp->latency_ms) {
+                link->set_latency(sim::milliseconds(*rp->latency_ms));
               }
-              if (r.jitter_ms) {
-                link->set_jitter(sim::milliseconds(*r.jitter_ms));
+              if (rp->jitter_ms) {
+                link->set_jitter(sim::milliseconds(*rp->jitter_ms));
               }
-              retunes.add();
+              obs_.retunes.add();
               if (trace != nullptr) {
                 trace->instant("fault retune", "faults",
                                sim_.now() / sim::kMicrosecond, track,
-                               static_cast<std::int64_t>(r.link));
+                               static_cast<std::int64_t>(rp->link));
               }
             });
   }

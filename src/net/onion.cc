@@ -11,7 +11,7 @@ namespace {
 crypto::Mac layer_mac(const crypto::CryptoProvider& crypto,
                       const crypto::Key& key, std::uint8_t node_index,
                       ByteView report, ByteView inner) {
-  WireWriter mi;
+  WireWriter mi(1 + 2 + report.size() + inner.size());
   mi.u8(node_index);
   mi.var_bytes(report);
   mi.raw(inner);
@@ -32,7 +32,7 @@ Bytes onion_wrap(const crypto::CryptoProvider& crypto, const crypto::Key& key,
                  ByteView inner) {
   const crypto::Mac mac =
       layer_mac(crypto, key, node_index, local_report, inner);
-  WireWriter w;
+  WireWriter w(1 + 2 + local_report.size() + mac.size() + inner.size());
   w.u8(node_index);
   w.var_bytes(local_report);
   w.raw(ByteView(mac.data(), mac.size()));

@@ -11,17 +11,27 @@ void put_id(WireWriter& w, const PacketId& id) {
 }
 
 bool get_id(WireReader& r, PacketId& id) {
-  Bytes tmp;
-  if (!r.raw(id.size(), tmp)) return false;
-  std::memcpy(id.data(), tmp.data(), id.size());
-  return true;
+  return r.copy(id.data(), id.size());
 }
 
 bool get_mac(WireReader& r, crypto::Mac& mac) {
-  Bytes tmp;
-  if (!r.raw(mac.size(), tmp)) return false;
-  std::memcpy(mac.data(), tmp.data(), mac.size());
-  return true;
+  return r.copy(mac.data(), mac.size());
+}
+
+void store_be(std::uint8_t* out, std::uint64_t v, int bytes) {
+  for (int i = bytes; i-- > 0; v >>= 8) out[i] = static_cast<std::uint8_t>(v);
+}
+
+// The data header encode() returns, built on the stack so H(m) can be
+// computed without allocating.
+std::array<std::uint8_t, DataPacket::kHeaderSize> encode_header(
+    const DataPacket& p) {
+  std::array<std::uint8_t, DataPacket::kHeaderSize> h;
+  h[0] = static_cast<std::uint8_t>(PacketType::kData);
+  store_be(&h[1], p.seq, 8);
+  store_be(&h[9], p.timestamp_ns, 8);
+  store_be(&h[17], p.payload_size, 2);
+  return h;
 }
 
 bool check_type(WireReader& r, PacketType expected) {
@@ -32,12 +42,8 @@ bool check_type(WireReader& r, PacketType expected) {
 }  // namespace
 
 Bytes DataPacket::encode() const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(PacketType::kData));
-  w.u64(seq);
-  w.u64(timestamp_ns);
-  w.u16(payload_size);
-  return std::move(w).take();
+  const auto h = encode_header(*this);
+  return Bytes(h.begin(), h.end());
 }
 
 std::optional<DataPacket> DataPacket::decode(ByteView wire) {
@@ -51,16 +57,12 @@ std::optional<DataPacket> DataPacket::decode(ByteView wire) {
 }
 
 PacketId DataPacket::id(const crypto::CryptoProvider& crypto) const {
-  const Bytes header = encode();
-  return packet_id_of(crypto, ByteView(header.data(), header.size()));
-}
-
-std::size_t DataPacket::wire_size() const {
-  return encode().size() + payload_size;
+  const auto h = encode_header(*this);
+  return packet_id_of(crypto, ByteView(h.data(), h.size()));
 }
 
 Bytes DestAck::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kDestAck));
   put_id(w, data_id);
   w.raw(ByteView(tag.data(), tag.size()));
@@ -76,7 +78,7 @@ std::optional<DestAck> DestAck::decode(ByteView wire) {
 }
 
 Bytes Probe::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kProbe));
   put_id(w, data_id);
   w.u64(challenge);
@@ -95,7 +97,7 @@ std::optional<Probe> Probe::decode(ByteView wire) {
 }
 
 Bytes ReportAck::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kReportAck));
   put_id(w, data_id);
   w.var_bytes(ByteView(report.data(), report.size()));
@@ -111,7 +113,7 @@ std::optional<ReportAck> ReportAck::decode(ByteView wire) {
 }
 
 Bytes FlRequest::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kFlRequest));
   w.u64(interval);
   return std::move(w).take();
@@ -126,7 +128,7 @@ std::optional<FlRequest> FlRequest::decode(ByteView wire) {
 }
 
 Bytes FlReport::encode() const {
-  WireWriter w;
+  WireWriter w(wire_size());
   w.u8(static_cast<std::uint8_t>(PacketType::kFlReport));
   w.u64(interval);
   w.var_bytes(ByteView(report.data(), report.size()));

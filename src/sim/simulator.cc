@@ -1,39 +1,88 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
 #include "obs/profile.h"
 
 namespace paai::sim {
 
-void Simulator::at(SimTime t, Handler fn) {
-  if (t < now_) t = now_;
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
-  // Profiler bookkeeping (one relaxed load + branch while disabled):
-  // pending-heap depth high-water and the allocation the push implies.
-  auto& prof = obs::PhaseProfiler::global();
-  prof.record_queue_depth(obs::QueueId::kSimQueue, queue_.size());
-  prof.add_alloc(obs::Phase::kSimLoop, sizeof(Event));
+Simulator::~Simulator() {
+  for (const Key& key : heap_) slot_ref(key.slot).~Handler();
 }
 
-void Simulator::after(SimDuration delay, Handler fn) {
-  if (delay < 0) delay = 0;
-  at(now_ + delay, std::move(fn));
+void Simulator::grow_slab() {
+  const auto base = static_cast<std::uint32_t>(chunks_.size()) * kChunkSlots;
+  chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+  free_.reserve(static_cast<std::size_t>(base) + kChunkSlots);
+  for (std::uint32_t i = kChunkSlots; i-- > 0;) free_.push_back(base + i);
+}
+
+void Simulator::push(const Key& key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = key;
+  // Profiler bookkeeping (one relaxed load + branch while disabled):
+  // pending-heap depth high-water.
+  obs::PhaseProfiler::global().record_queue_depth(obs::QueueId::kSimQueue,
+                                                  heap_.size());
+}
+
+void Simulator::pop_root() {
+  // Bottom-up pop: walk the hole at the root down to a leaf along the
+  // smallest children, then sift the displaced last key up from there.
+  const std::size_t n = heap_.size() - 1;  // size after the pop
+  const Key last = heap_[n];
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // Selects, not branches: which child is smallest is unpredictable.
+      best = before(heap_[first + 1], heap_[best]) ? first + 1 : best;
+      best = before(heap_[first + 2], heap_[best]) ? first + 2 : best;
+      best = before(heap_[first + 3], heap_[best]) ? first + 3 : best;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(last, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = last;
+  heap_.pop_back();
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top() is const; the event is moved out via const_cast,
-  // which is safe because pop() follows immediately and the heap order
-  // does not depend on the handler.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
+  if (heap_.empty()) return false;
+  const Key top = heap_.front();
+  pop_root();
+  now_ = top.time;
   ++processed_;
-  {
-    const obs::ScopedPhase phase(obs::Phase::kSimLoop);
-    ev.fn();
-  }
+  // The handler runs in its slot (chunks never move) and the slot is freed
+  // only afterwards, so events it schedules never land on top of it. The
+  // guard also frees the slot when the handler throws.
+  struct Release {
+    Simulator& sim;
+    std::uint32_t slot;
+    ~Release() {
+      sim.slot_ref(slot).~Handler();
+      sim.free_.push_back(slot);
+    }
+  } release{*this, top.slot};
+  const obs::ScopedPhase phase(obs::Phase::kSimLoop);
+  slot_ref(top.slot)();
   return true;
 }
 
@@ -43,7 +92,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.top().time < t) {
+  while (!heap_.empty() && heap_.front().time < t) {
     step();
   }
   if (now_ < t) now_ = t;

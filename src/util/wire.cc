@@ -1,5 +1,6 @@
 #include "util/wire.h"
 
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -78,6 +79,13 @@ bool WireReader::raw(std::size_t n, Bytes& out) {
   const std::uint8_t* p = nullptr;
   if (!take(n, p)) return false;
   out.assign(p, p + n);
+  return true;
+}
+
+bool WireReader::copy(std::uint8_t* out, std::size_t n) {
+  const std::uint8_t* p = nullptr;
+  if (!take(n, p)) return false;
+  if (n != 0) std::memcpy(out, p, n);
   return true;
 }
 

@@ -17,6 +17,11 @@ namespace paai {
 
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Reserves `capacity` bytes up front, so a writer that knows its exact
+  /// output size allocates once.
+  explicit WireWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -44,6 +49,8 @@ class WireReader {
   bool u64(std::uint64_t& out);
   /// Copies exactly n bytes.
   bool raw(std::size_t n, Bytes& out);
+  /// Copies exactly n bytes into caller storage (no allocation).
+  bool copy(std::uint8_t* out, std::size_t n);
   /// Reads a u16 length prefix then that many bytes. Fails if the prefix
   /// exceeds the remaining buffer.
   bool var_bytes(Bytes& out);

@@ -7,6 +7,8 @@
 
 #include <tuple>
 
+#include "util/rng.h"
+
 #include "crypto/keystore.h"
 #include "crypto/provider.h"
 #include "net/onion.h"
@@ -280,6 +282,159 @@ TEST(PacketFormats, IdentifierBindsAllHeaderFields) {
   EXPECT_NE(a.id(*crypto), c.id(*crypto));
   EXPECT_NE(a.id(*crypto), d.id(*crypto));
 }
+
+// --- Wire path: the stack-encoded header, the arithmetic wire size and
+// the reserved-once encoders must reproduce the plain field-by-field
+// encoding exactly. `reference_*` are that encoding, one field at a time
+// into an unreserved WireWriter.
+
+Bytes reference_data(const DataPacket& p) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kData));
+  w.u64(p.seq);
+  w.u64(p.timestamp_ns);
+  w.u16(p.payload_size);
+  return std::move(w).take();
+}
+
+Bytes reference_dest_ack(const DestAck& a) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kDestAck));
+  w.raw(ByteView(a.data_id.data(), a.data_id.size()));
+  w.raw(ByteView(a.tag.data(), a.tag.size()));
+  return std::move(w).take();
+}
+
+Bytes reference_probe(const Probe& p) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kProbe));
+  w.raw(ByteView(p.data_id.data(), p.data_id.size()));
+  w.u64(p.challenge);
+  w.var_bytes(ByteView(p.auth.data(), p.auth.size()));
+  return std::move(w).take();
+}
+
+Bytes reference_report_ack(const ReportAck& a) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kReportAck));
+  w.raw(ByteView(a.data_id.data(), a.data_id.size()));
+  w.var_bytes(ByteView(a.report.data(), a.report.size()));
+  return std::move(w).take();
+}
+
+Bytes reference_fl_request(const FlRequest& q) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kFlRequest));
+  w.u64(q.interval);
+  return std::move(w).take();
+}
+
+Bytes reference_fl_report(const FlReport& r) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(PacketType::kFlReport));
+  w.u64(r.interval);
+  w.var_bytes(ByteView(r.report.data(), r.report.size()));
+  return std::move(w).take();
+}
+
+ByteView view_of(const Bytes& b) { return ByteView(b.data(), b.size()); }
+
+Bytes random_bytes(Rng& rng, std::size_t max_len) {
+  Bytes out(rng.next_below(max_len + 1));
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+template <typename Array>
+void fill_random(Rng& rng, Array& a) {
+  for (auto& b : a) b = static_cast<std::uint8_t>(rng.next_u64());
+}
+
+class WirePath : public ::testing::TestWithParam<crypto::CryptoKind> {};
+
+TEST_P(WirePath, DataHeaderIdAndSizeMatchTheEncoding) {
+  const auto crypto = crypto::make_crypto(GetParam());
+  Rng rng(0x5eed);
+  for (int i = 0; i < 2000; ++i) {
+    DataPacket p;
+    p.seq = rng.next_u64();
+    p.timestamp_ns = i % 5 == 0 ? 0 : rng.next_u64();
+    p.payload_size = static_cast<std::uint16_t>(
+        i % 7 == 0 ? 0xffff : rng.next_below(0x10000));
+    const Bytes wire = p.encode();
+    ASSERT_EQ(wire, reference_data(p));
+    ASSERT_EQ(wire.size(), DataPacket::kHeaderSize);
+    EXPECT_EQ(p.id(*crypto), packet_id_of(*crypto, view_of(wire)));
+    EXPECT_EQ(p.wire_size(), wire.size() + p.payload_size);
+    const auto back = DataPacket::decode(view_of(wire));
+    ASSERT_TRUE(back);
+    EXPECT_EQ(back->encode(), wire);
+  }
+}
+
+TEST_P(WirePath, EveryPacketTypeRoundTripsToTheSameBytes) {
+  const auto crypto = crypto::make_crypto(GetParam());
+  Rng rng(0xc0dec);
+  for (int i = 0; i < 1000; ++i) {
+    DataPacket data{rng.next_u64(), rng.next_u64(),
+                    static_cast<std::uint16_t>(rng.next_below(1500))};
+    const PacketId id = data.id(*crypto);
+
+    DestAck ack{id, {}};
+    fill_random(rng, ack.tag);
+    const Bytes ack_wire = ack.encode();
+    ASSERT_EQ(ack_wire, reference_dest_ack(ack));
+    EXPECT_EQ(ack_wire.size(), ack.wire_size());
+    const auto ack2 = DestAck::decode(view_of(ack_wire));
+    ASSERT_TRUE(ack2);
+    EXPECT_EQ(ack2->encode(), ack_wire);
+
+    Probe probe{id, rng.next_u64(), random_bytes(rng, 64)};
+    const Bytes probe_wire = probe.encode();
+    ASSERT_EQ(probe_wire, reference_probe(probe));
+    EXPECT_EQ(probe_wire.size(), probe.wire_size());
+    const auto probe2 = Probe::decode(view_of(probe_wire));
+    ASSERT_TRUE(probe2);
+    EXPECT_EQ(probe2->encode(), probe_wire);
+
+    ReportAck rack{id, random_bytes(rng, 300)};
+    const Bytes rack_wire = rack.encode();
+    ASSERT_EQ(rack_wire, reference_report_ack(rack));
+    EXPECT_EQ(rack_wire.size(), rack.wire_size());
+    const auto rack2 = ReportAck::decode(view_of(rack_wire));
+    ASSERT_TRUE(rack2);
+    EXPECT_EQ(rack2->encode(), rack_wire);
+
+    FlRequest req{rng.next_u64()};
+    const Bytes req_wire = req.encode();
+    ASSERT_EQ(req_wire, reference_fl_request(req));
+    EXPECT_EQ(req_wire.size(), req.wire_size());
+    const auto req2 = FlRequest::decode(view_of(req_wire));
+    ASSERT_TRUE(req2);
+    EXPECT_EQ(req2->encode(), req_wire);
+
+    FlReport rep{rng.next_u64(), random_bytes(rng, 300)};
+    const Bytes rep_wire = rep.encode();
+    ASSERT_EQ(rep_wire, reference_fl_report(rep));
+    EXPECT_EQ(rep_wire.size(), rep.wire_size());
+    const auto rep2 = FlReport::decode(view_of(rep_wire));
+    ASSERT_TRUE(rep2);
+    EXPECT_EQ(rep2->encode(), rep_wire);
+
+    // A truncated id or tag is rejected, never read past the buffer.
+    EXPECT_FALSE(DestAck::decode(view_of(ack_wire).first(
+        1 + rng.next_below(ack_wire.size() - 1))));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Crypto, WirePath,
+                         ::testing::Values(crypto::CryptoKind::kFast,
+                                           crypto::CryptoKind::kReal),
+                         [](const auto& p) {
+                           return p.param == crypto::CryptoKind::kFast
+                                      ? std::string("FastCrypto")
+                                      : std::string("RealCrypto");
+                         });
 
 }  // namespace
 }  // namespace paai::net

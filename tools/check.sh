@@ -16,9 +16,11 @@
 #
 #   2. AddressSanitizer + UBSan (hard-fail, -fno-sanitize-recover=all) —
 #      the memory-facing suites: obs (JSON parser on hostile input, ring
-#      indexing), util (wire codec fuzz loop), sim, exec, faults (plan
-#      parser on malformed specs, loss-process state machines, crash-time
-#      pending-table teardown), crypto and wots (the SHA-NI kernel
+#      indexing), util (wire codec fuzz loop), sim (the inline-handler
+#      slab and 4-ary event heap), onion (packet codecs and onion
+#      reports), exec, faults (plan parser on malformed specs,
+#      loss-process state machines, crash-time pending-table teardown,
+#      the injector's scheduled retunes), crypto and wots (the SHA-NI kernel
 #      intrinsics, the padding edges, the fixed-32-byte chain step and
 #      the HMAC midstates).
 #
@@ -97,13 +99,14 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test exec_test faults_test crypto_test wots_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test onion_test exec_test faults_test crypto_test wots_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/obs_test"
 "$ASAN_DIR/tests/util_test"
 "$ASAN_DIR/tests/sim_test"
+"$ASAN_DIR/tests/onion_test"
 "$ASAN_DIR/tests/exec_test"
 "$ASAN_DIR/tests/faults_test" "$CHAOS_FILTER"
 "$ASAN_DIR/tests/crypto_test"
@@ -375,4 +378,4 @@ awk '$1 == "phase" { for (i = 3; i <= NF; ++i) if ($i ~ /^ns=/) ns[$2] = substr(
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/exec/faults/crypto/wots), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/onion/exec/faults/crypto/wots), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
