@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -31,12 +32,32 @@ bool event_before(const Event& x, const Event& y) {
 
 bool parse_u64_field(const JsonValue& v, std::uint64_t* out) {
   if (!v.is_string()) return false;
-  if (v.string.empty()) return false;
+  // Digits only: strtoull alone would accept a sign ("-1" wraps to
+  // 2^64-1) and leading whitespace.
+  if (v.string.empty() || v.string[0] < '0' || v.string[0] > '9') {
+    return false;
+  }
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v.string.c_str(), &end, 10);
   if (errno != 0 || end != v.string.c_str() + v.string.size()) return false;
   *out = parsed;
+  return true;
+}
+
+/// Largest magnitude a JSON number carries exactly with no neighbour
+/// rounding onto it: 2^53 - 1 (2^53 + 1 already parses as 2^53).
+constexpr double kMaxExactInt = 9007199254740991.0;
+
+/// Reads an integer-valued JSON number in [lo, hi]. Fractional, out-of-
+/// range and non-numeric values fail, so no double ever reaches an integer
+/// cast it does not fit.
+bool parse_int_field(const JsonValue* v, double lo, double hi,
+                     std::int64_t* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  const double x = v->number;
+  if (!(x >= lo && x <= hi) || std::trunc(x) != x) return false;
+  *out = static_cast<std::int64_t>(x);
   return true;
 }
 
@@ -133,19 +154,21 @@ bool parse_event_line(const std::string& line, Event* out,
   }
 
   Event e;
-  const JsonValue* ts = doc->find("ts_ns");
-  const JsonValue* node = doc->find("node");
-  const JsonValue* seq = doc->find("seq");
   const JsonValue* kind = doc->find("kind");
-  if (ts == nullptr || !ts->is_number() || node == nullptr ||
-      !node->is_number() || seq == nullptr || !seq->is_number() ||
+  std::int64_t ts = 0, node = 0, seq = 0;
+  if (!parse_int_field(doc->find("ts_ns"), -kMaxExactInt, kMaxExactInt,
+                       &ts) ||
+      !parse_int_field(doc->find("node"), 0.0, 65535.0, &node) ||
+      !parse_int_field(doc->find("seq"), 0.0, kMaxExactInt, &seq) ||
       kind == nullptr || !kind->is_string()) {
-    *what = "missing or mistyped ts_ns/node/seq/kind";
+    *what =
+        "missing, mistyped or out-of-range ts_ns/node/seq/kind (integers: "
+        "|ts_ns| and seq < 2^53, node <= 65535)";
     return false;
   }
-  e.ts_ns = static_cast<std::int64_t>(ts->number);
-  e.node = static_cast<std::uint16_t>(node->number);
-  e.seq = static_cast<std::uint64_t>(seq->number);
+  e.ts_ns = ts;
+  e.node = static_cast<std::uint16_t>(node);
+  e.seq = static_cast<std::uint64_t>(seq);
   const auto k = event_kind_from_name(kind->string);
   if (!k.has_value()) {
     *what = "unknown kind \"" + kind->string + "\"";
@@ -154,11 +177,12 @@ bool parse_event_line(const std::string& line, Event* out,
   e.kind = *k;
 
   if (const JsonValue* link = doc->find("link")) {
-    if (!link->is_number()) {
-      *what = "mistyped link";
+    std::int64_t l = 0;
+    if (!parse_int_field(link, 0.0, 2147483647.0, &l)) {
+      *what = "mistyped link (want an integer in [0, 2^31 - 1])";
       return false;
     }
-    e.link = static_cast<std::int32_t>(link->number);
+    e.link = static_cast<std::int32_t>(l);
   }
   if (const JsonValue* a = doc->find("a")) {
     if (!parse_u64_field(*a, &e.a)) {

@@ -25,38 +25,34 @@ Comb1Source::Comb1Source(const ProtocolContext& ctx)
     : ctx_(ctx),
       sampler_(ctx.crypto(), ctx.keys().destination_key(),
                ctx.params().probe_probability),
-      // Same blame-exposure structure as full-ack (see FullAckSource).
-      score_(ctx.d(), /*traversals=*/1.0, /*probe_extra=*/2.0),
+      ledger_(make_ledger(ProtocolKind::kCombination1, ctx.d(),
+                          ctx.params().blame)),
       pending_(nullptr),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void Comb1Source::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   pending_.attach(node(), ctx_.r0() / 2);
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void Comb1Source::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
 
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
 
   // Only K_d-sampled packets are monitored; D acks those unprompted.
   if (sampler_.sampled(ByteView(id.data(), id.size()))) {
-    ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                   obs::event_id64(id.data()), pkt.seq);
+    ledger_.sample_select(obs::event_id64(id.data()), pkt.seq);
     pending_.purge(node().sim().now());
     pending_.put(id, Pending{},
                  node().sim().now() + 3 * ctx_.r0() + 8 * ctx_.timer_slack());
@@ -64,7 +60,7 @@ void Comb1Source::send_next() {
                        [this, id] { on_ack_timeout(id); });
   }
 
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
@@ -73,9 +69,7 @@ void Comb1Source::on_ack_timeout(const net::PacketId& id) {
   Pending* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  score_.note_probe();
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
+  ledger_.ack_timeout(obs::event_id64(id.data()));
   net::Probe probe;
   probe.data_id = id;
   node().originate(sim::Direction::kToDest, shared_wire(probe.encode()),
@@ -89,10 +83,7 @@ void Comb1Source::on_ack_timeout(const net::PacketId& id) {
 
 void Comb1Source::on_probe_timeout(const net::PacketId& id) {
   if (pending_.find(id) == nullptr) return;
-  score_.blame(0);
-  ctx_.log_event(node(), obs::EventKind::kScoreBlame, 0,
-                 obs::event_id64(id.data()), score_.observations(),
-                 score_.theta(0));
+  ledger_.blame(0, obs::event_id64(id.data()));
   pending_.erase(id);
 }
 
@@ -121,10 +112,7 @@ void Comb1Source::handle_dest_ack(const net::DestAck& ack) {
   }
   ctx_.log_event(node(), obs::EventKind::kAckRecv, -1,
                  obs::event_id64(ack.data_id.data()), /*b=*/0);
-  score_.add_clean();
-  ++delivered_;
-  ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                 obs::event_id64(ack.data_id.data()), score_.observations());
+  ledger_.clean(obs::event_id64(ack.data_id.data()));
   pending_.erase(ack.data_id);
 }
 
@@ -159,24 +147,12 @@ void Comb1Source::handle_report(const net::ReportAck& ack) {
                  obs::event_id64(id.data()), result.valid_layers);
   if (result.valid_layers == 0) return;  // unauthenticated: ignore
   if (result.valid_layers >= ctx_.d()) {
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(id.data()), score_.observations());
+    ledger_.clean(obs::event_id64(id.data()));
   } else {
-    score_.blame(result.valid_layers);
-    ctx_.log_event(node(), obs::EventKind::kScoreBlame,
-                   static_cast<std::int32_t>(result.valid_layers),
-                   obs::event_id64(id.data()), score_.observations(),
-                   score_.theta(result.valid_layers));
+    ledger_.blame(static_cast<std::int32_t>(result.valid_layers),
+                  obs::event_id64(id.data()));
   }
   pending_.erase(id);
-}
-
-double Comb1Source::observed_e2e_rate() const {
-  const std::uint64_t n = score_.observations();
-  if (n == 0) return 0.0;
-  return 1.0 - static_cast<double>(delivered_) / static_cast<double>(n);
 }
 
 // ----------------------------------------------------------- destination

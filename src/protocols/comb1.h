@@ -22,27 +22,20 @@
 #include "protocols/context.h"
 #include "protocols/fullack.h"
 #include "protocols/paai1.h"
+#include "protocols/ledger.h"
 #include "protocols/pending.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
 
-class Comb1Source final : public sim::Agent, public SourceHandle {
+class Comb1Source final : public sim::Agent {
  public:
   explicit Comb1Source(const ProtocolContext& ctx);
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
+  const ScoreLedger& ledger() const { return ledger_; }
 
  private:
   struct Pending {
@@ -57,10 +50,8 @@ class Comb1Source final : public sim::Agent, public SourceHandle {
 
   const ProtocolContext& ctx_;
   crypto::SecureSampler sampler_;  // keyed with K_d
-  ScoreTable score_;
+  ScoreLedger ledger_;
   PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   sim::SimDuration send_period_;
 };
 

@@ -21,10 +21,11 @@ adversary::Strategy* strategy_for(
 }
 
 template <typename Source, typename Relay, typename Dest>
-SourceHandle* install(const ProtocolContext& ctx, sim::PathNetwork& net,
-                      const std::vector<adversary::Strategy*>& strategies) {
+const ScoreLedger& install(
+    const ProtocolContext& ctx, sim::PathNetwork& net,
+    const std::vector<adversary::Strategy*>& strategies) {
   auto source = std::make_unique<Source>(ctx);
-  SourceHandle* handle = source.get();
+  const ScoreLedger& ledger = source->ledger();
   net.source().attach_agent(std::move(source));
 
   for (std::size_t i = 1; i < net.length(); ++i) {
@@ -34,12 +35,12 @@ SourceHandle* install(const ProtocolContext& ctx, sim::PathNetwork& net,
   }
 
   net.destination().attach_agent(std::make_unique<Dest>(ctx));
-  return handle;
+  return ledger;
 }
 
 }  // namespace
 
-SourceHandle* install_protocol(
+const ScoreLedger& install_protocol(
     ProtocolKind kind, const ProtocolContext& ctx, sim::PathNetwork& net,
     const std::vector<adversary::Strategy*>& strategies) {
   if (net.length() != ctx.d()) {

@@ -40,30 +40,24 @@ std::optional<DecodedData> decode_data(const ProtocolContext& ctx,
 
 // ---------------------------------------------------------------- source
 
-// Blame exposure per monitored packet: a *data* drop on l_i is always
-// localized there (1 traversal); a lost destination ack resolves to
-// "clean" via the onion round (the data demonstrably arrived); the probe
-// and onion legs add exposure only in rounds that actually probed — hence
-// the dynamic probe_extra term (see ScoreTable).
 FullAckSource::FullAckSource(const ProtocolContext& ctx)
     : ctx_(ctx),
-      score_(ctx.d(), /*traversals=*/1.0, /*probe_extra=*/2.0),
+      ledger_(make_ledger(ProtocolKind::kFullAck, ctx.d(), ctx.params().blame)),
       pending_(nullptr),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void FullAckSource::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   pending_.attach(node(), ctx_.r0() / 2);
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void FullAckSource::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
@@ -73,13 +67,11 @@ void FullAckSource::send_next() {
                node().sim().now() + 3 * ctx_.r0() + 8 * ctx_.timer_slack());
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
 
   node().sim().after(ctx_.r0() + ctx_.timer_slack(),
                      [this, id] { on_ack_timeout(id); });
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
@@ -88,9 +80,7 @@ void FullAckSource::on_ack_timeout(const net::PacketId& id) {
   Pending* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  score_.note_probe();
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
+  ledger_.ack_timeout(obs::event_id64(id.data()));
 
   net::Probe probe;
   probe.data_id = id;
@@ -107,10 +97,7 @@ void FullAckSource::on_probe_timeout(const net::PacketId& id) {
   if (pending_.find(id) == nullptr) return;  // resolved by a report
   // No report at all: the loss is on the source's own downstream link
   // (PAAI-1 footnote 8 reasoning applies here identically).
-  score_.blame(0);
-  ctx_.log_event(node(), obs::EventKind::kScoreBlame, 0,
-                 obs::event_id64(id.data()), score_.observations(),
-                 score_.theta(0));
+  ledger_.blame(0, obs::event_id64(id.data()));
   pending_.erase(id);
 }
 
@@ -141,10 +128,7 @@ void FullAckSource::handle_dest_ack(const net::DestAck& ack) {
   // outcome is clean either way.
   ctx_.log_event(node(), obs::EventKind::kAckRecv, -1,
                  obs::event_id64(ack.data_id.data()), /*b=*/0);
-  score_.add_clean();
-  ++delivered_;
-  ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                 obs::event_id64(ack.data_id.data()), score_.observations());
+  ledger_.clean(obs::event_id64(ack.data_id.data()));
   pending_.erase(ack.data_id);
 }
 
@@ -190,23 +174,12 @@ void FullAckSource::handle_report(const net::ReportAck& ack) {
   if (result.valid_layers >= ctx_.d()) {
     // The onion originates at the destination: the data packet arrived;
     // only its ack was lost (and the onion already localized nothing).
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(id.data()), score_.observations());
+    ledger_.clean(obs::event_id64(id.data()));
   } else {
-    score_.blame(result.valid_layers);
-    ctx_.log_event(node(), obs::EventKind::kScoreBlame,
-                   static_cast<std::int32_t>(result.valid_layers),
-                   obs::event_id64(id.data()), score_.observations(),
-                   score_.theta(result.valid_layers));
+    ledger_.blame(static_cast<std::int32_t>(result.valid_layers),
+                  obs::event_id64(id.data()));
   }
   pending_.erase(id);
-}
-
-double FullAckSource::observed_e2e_rate() const {
-  if (sent_ == 0) return 0.0;
-  return 1.0 - static_cast<double>(delivered_) / static_cast<double>(sent_);
 }
 
 // ----------------------------------------------------------------- relay

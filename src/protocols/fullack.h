@@ -20,28 +20,21 @@
 #include "net/onion.h"
 #include "net/packet.h"
 #include "protocols/context.h"
+#include "protocols/ledger.h"
 #include "protocols/pending.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
 
-class FullAckSource final : public sim::Agent, public SourceHandle {
+class FullAckSource final : public sim::Agent {
  public:
   explicit FullAckSource(const ProtocolContext& ctx);
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
+  const ScoreLedger& ledger() const { return ledger_; }
 
  private:
   struct Pending {
@@ -57,10 +50,8 @@ class FullAckSource final : public sim::Agent, public SourceHandle {
                  const net::PacketId& id) const;
 
   const ProtocolContext& ctx_;
-  ScoreTable score_;
+  ScoreLedger ledger_;
   PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   sim::SimDuration send_period_;
 };
 

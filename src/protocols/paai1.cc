@@ -77,47 +77,38 @@ bool verify_probe_auth(const ProtocolContext& ctx, const net::Probe& probe,
 
 // ---------------------------------------------------------------- source
 
-// Every probed packet exposes a link to the data, probe, and onion legs —
-// nominally 3 traversals, but a drop suppresses the same round's
-// downstream legs (an onion that originated upstream of l_i never crosses
-// it), leaving an effective exposure of ~2.6. Calibrated so that honest
-// links estimate at their true natural rate.
 Paai1Source::Paai1Source(const ProtocolContext& ctx)
     : ctx_(ctx),
       sampler_(ctx.crypto(), ctx.keys().source_sampling_key(),
                ctx.params().probe_probability),
-      score_(ctx.d(), /*traversals=*/2.6),
+      ledger_(make_ledger(ProtocolKind::kPaai1, ctx.d(), ctx.params().blame)),
       pending_(nullptr),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void Paai1Source::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   pending_.attach(node(), ctx_.r0() / 2);
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void Paai1Source::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
 
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
 
   // Phase 1 decision: sample m for probing with probability p, keyed so
   // no observer can predict the outcome.
   if (sampler_.sampled(ByteView(id.data(), id.size()))) {
-    ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                   obs::event_id64(id.data()), pkt.seq);
+    ledger_.sample_select(obs::event_id64(id.data()), pkt.seq);
     pending_.purge(node().sim().now());
     pending_.put(id, Pending{},
                  node().sim().now() + ctx_.probe_delay() + 2 * ctx_.r0() +
@@ -125,14 +116,13 @@ void Paai1Source::send_next() {
     node().sim().after(ctx_.probe_delay(), [this, id] { send_probe(id); });
   }
 
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
 
 void Paai1Source::send_probe(const net::PacketId& id) {
   if (pending_.find(id) == nullptr) return;
-  ++probed_;
   net::Probe probe;
   probe.data_id = id;
   if (ctx_.params().authenticated_probes) {
@@ -156,12 +146,8 @@ void Paai1Source::on_resolution_timeout(const net::PacketId& id) {
   }
   // No authenticated report at all: the drop is on the source's own
   // downstream link (footnote 8).
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
-  score_.blame(0);
-  ctx_.log_event(node(), obs::EventKind::kScoreBlame, 0,
-                 obs::event_id64(id.data()), score_.observations(),
-                 score_.theta(0));
+  ledger_.ack_timeout(obs::event_id64(id.data()));
+  ledger_.blame(0, obs::event_id64(id.data()));
   pending_.erase(id);
 }
 
@@ -173,15 +159,9 @@ void Paai1Source::resolve_independent(const net::PacketId& id,
   std::size_t k = 0;
   while (k < ctx_.d() && (pending.ack_bits >> (k + 1)) & 1u) ++k;
   if (k >= ctx_.d()) {
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(id.data()), score_.observations());
+    ledger_.clean(obs::event_id64(id.data()));
   } else {
-    score_.blame(k);
-    ctx_.log_event(node(), obs::EventKind::kScoreBlame,
-                   static_cast<std::int32_t>(k), obs::event_id64(id.data()),
-                   score_.observations(), score_.theta(k));
+    ledger_.blame(static_cast<std::int32_t>(k), obs::event_id64(id.data()));
   }
   pending_.erase(id);
 }
@@ -213,16 +193,10 @@ void Paai1Source::handle_report(const net::ReportAck& ack) {
                  obs::event_id64(id.data()), result.valid_layers);
   if (result.valid_layers == 0) return;  // unauthenticated: ignore (see §4)
   if (result.valid_layers >= ctx_.d()) {
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(id.data()), score_.observations());
+    ledger_.clean(obs::event_id64(id.data()));
   } else {
-    score_.blame(result.valid_layers);
-    ctx_.log_event(node(), obs::EventKind::kScoreBlame,
-                   static_cast<std::int32_t>(result.valid_layers),
-                   obs::event_id64(id.data()), score_.observations(),
-                   score_.theta(result.valid_layers));
+    ledger_.blame(static_cast<std::int32_t>(result.valid_layers),
+                  obs::event_id64(id.data()));
   }
   pending_.erase(id);
 }
@@ -241,12 +215,6 @@ void Paai1Source::handle_independent_report(const net::ReportAck& ack) {
   }
   p->ack_bits |= 1u << index;
   // Resolution happens at the timeout, once all acks had time to arrive.
-}
-
-double Paai1Source::observed_e2e_rate() const {
-  const std::uint64_t n = score_.observations();
-  if (n == 0) return 0.0;
-  return 1.0 - static_cast<double>(delivered_) / static_cast<double>(n);
 }
 
 // ----------------------------------------------------------------- relay

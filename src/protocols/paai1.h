@@ -24,28 +24,21 @@
 #include "net/onion.h"
 #include "net/packet.h"
 #include "protocols/context.h"
+#include "protocols/ledger.h"
 #include "protocols/pending.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
 
-class Paai1Source final : public sim::Agent, public SourceHandle {
+class Paai1Source final : public sim::Agent {
  public:
   explicit Paai1Source(const ProtocolContext& ctx);
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.observations(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override;
+  const ScoreLedger& ledger() const { return ledger_; }
 
  private:
   struct Pending {
@@ -63,11 +56,8 @@ class Paai1Source final : public sim::Agent, public SourceHandle {
 
   const ProtocolContext& ctx_;
   crypto::SecureSampler sampler_;
-  ScoreTable score_;
+  ScoreLedger ledger_;
   PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t probed_ = 0;
-  std::uint64_t delivered_ = 0;  // probes whose onion originated at D
   sim::SimDuration send_period_;
 };
 

@@ -71,23 +71,24 @@ Paai2Source::Paai2Source(const ProtocolContext& ctx, bool sampled_mode)
       sampled_mode_(sampled_mode),
       monitor_sampler_(ctx.crypto(), ctx.keys().destination_key(),
                        ctx.params().probe_probability),
-      score_(ctx.d()),
+      ledger_(make_ledger(sampled_mode ? ProtocolKind::kCombination2
+                                       : ProtocolKind::kPaai2,
+                          ctx.d(), ctx.params().blame)),
       pending_(nullptr),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void Paai2Source::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   pending_.attach(node(), ctx_.r0() / 2);
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void Paai2Source::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
@@ -104,20 +105,17 @@ void Paai2Source::send_next() {
   }
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
+  // Plain mode: the send itself is the monitored trial.
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
 
   if (monitored) {
     if (sampled_mode_) {
-      ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                     obs::event_id64(id.data()), pkt.seq);
+      ledger_.sample_select(obs::event_id64(id.data()), pkt.seq);
     }
-    score_.add_data_packet();
     node().sim().after(ctx_.r0() + ctx_.timer_slack(),
                        [this, id] { on_ack_timeout(id); });
   }
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
@@ -126,8 +124,7 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
   Pending* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
+  ledger_.ack_timeout(obs::event_id64(id.data()));
 
   // Fresh unpredictable challenge Z (PRF over id and a counter under the
   // source-private key).
@@ -161,11 +158,9 @@ void Paai2Source::on_ack_timeout(const net::PacketId& id) {
 void Paai2Source::on_probe_timeout(const net::PacketId& id) {
   Pending* p = pending_.find(id);
   if (p == nullptr) return;
-  score_.add_probe(p->selected, /*prefix_failed=*/true);
   // Prefix evidence: no report survived, so the failure lies somewhere in
   // [l_0, l_{e-1}] (e = selected node) — no single link is named.
-  ctx_.log_event(node(), obs::EventKind::kScoreBlame, -1,
-                 obs::event_id64(id.data()), p->selected);
+  ledger_.blame(-1, obs::event_id64(id.data()), p->selected);
   pending_.erase(id);
 }
 
@@ -238,11 +233,11 @@ void Paai2Source::handle_report(const net::ReportAck& ack) {
   ctx_.log_event(node(), obs::EventKind::kOnionDecode, -1,
                  obs::event_id64(ack.data_id.data()), p->selected,
                  match ? 1.0 : 0.0);
-  score_.add_probe(p->selected, /*prefix_failed=*/!match);
-  ctx_.log_event(node(),
-                 match ? obs::EventKind::kScoreClean
-                       : obs::EventKind::kScoreBlame,
-                 -1, obs::event_id64(ack.data_id.data()), p->selected);
+  if (match) {
+    ledger_.clean(obs::event_id64(ack.data_id.data()), p->selected);
+  } else {
+    ledger_.blame(-1, obs::event_id64(ack.data_id.data()), p->selected);
+  }
   pending_.erase(ack.data_id);
 }
 

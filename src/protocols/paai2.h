@@ -25,15 +25,14 @@
 #include "crypto/sampler.h"
 #include "net/packet.h"
 #include "protocols/context.h"
+#include "protocols/ledger.h"
 #include "protocols/pending.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
 
-class Paai2Source : public sim::Agent, public SourceHandle {
+class Paai2Source : public sim::Agent {
  public:
   explicit Paai2Source(const ProtocolContext& ctx)
       : Paai2Source(ctx, /*sampled_mode=*/false) {}
@@ -41,17 +40,7 @@ class Paai2Source : public sim::Agent, public SourceHandle {
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override { return score_.probes(); }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override {
-    return score_.observed_e2e_rate();
-  }
-
-  const Paai2ScoreTable& score_table() const { return score_; }
+  const ScoreLedger& ledger() const { return ledger_; }
 
  protected:
   /// sampled_mode = Combination 2 (§10): only a K_d-keyed sampled fraction
@@ -74,9 +63,8 @@ class Paai2Source : public sim::Agent, public SourceHandle {
   const ProtocolContext& ctx_;
   bool sampled_mode_;
   crypto::SecureSampler monitor_sampler_;
-  Paai2ScoreTable score_;
+  ScoreLedger ledger_;
   PendingStore<Pending> pending_;
-  std::uint64_t sent_ = 0;
   std::uint64_t challenge_counter_ = 0;
   std::uint64_t confirmed_deliveries_ = 0;  // via verified a_d copies
   sim::SimDuration send_period_;

@@ -61,10 +61,10 @@ void ScoreTable::add_clean() {
 }
 
 void ScoreTable::blame(std::size_t link) {
-  ++n_;
   if (link >= s_.size()) {
     throw std::out_of_range("ScoreTable::blame: link index out of range");
   }
+  ++n_;
   ++s_[link];
   ++win_s_[link];
   obs_updates_.add();

@@ -70,41 +70,38 @@ std::optional<std::size_t> sigack_verify(const ProtocolContext& ctx,
 
 SigAckSource::SigAckSource(const ProtocolContext& ctx)
     : ctx_(ctx),
-      score_(ctx.d(), /*traversals=*/1.0, /*probe_extra=*/2.0),
+      ledger_(make_ledger(ProtocolKind::kSigAck, ctx.d(), ctx.params().blame)),
       pending_(nullptr),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void SigAckSource::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   pending_.attach(node(), ctx_.r0() / 2);
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void SigAckSource::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
 
   pending_.purge(node().sim().now());
   Pending p;
-  p.seq = sent_;
+  p.seq = pkt.seq;
   pending_.put(id, p,
                node().sim().now() + 3 * ctx_.r0() + 8 * ctx_.timer_slack());
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  ++sent_;
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
 
   node().sim().after(ctx_.r0() + ctx_.timer_slack(),
                      [this, id] { on_ack_timeout(id); });
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
@@ -113,9 +110,7 @@ void SigAckSource::on_ack_timeout(const net::PacketId& id) {
   Pending* p = pending_.find(id);
   if (p == nullptr || p->probed) return;
   p->probed = true;
-  score_.note_probe();
-  ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1,
-                 obs::event_id64(id.data()));
+  ledger_.ack_timeout(obs::event_id64(id.data()));
   net::Probe probe;
   probe.data_id = id;
   node().originate(sim::Direction::kToDest, shared_wire(probe.encode()),
@@ -134,15 +129,9 @@ void SigAckSource::on_probe_timeout(const net::PacketId& id) {
   std::size_t k = 0;
   while (k < ctx_.d() && (p->ack_bits >> (k + 1)) & 1u) ++k;
   if (k >= ctx_.d()) {
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(id.data()), score_.observations());
+    ledger_.clean(obs::event_id64(id.data()));
   } else {
-    score_.blame(k);
-    ctx_.log_event(node(), obs::EventKind::kScoreBlame,
-                   static_cast<std::int32_t>(k), obs::event_id64(id.data()),
-                   score_.observations(), score_.theta(k));
+    ledger_.blame(static_cast<std::int32_t>(k), obs::event_id64(id.data()));
   }
   pending_.erase(id);
 }
@@ -169,21 +158,12 @@ void SigAckSource::handle_report(const net::ReportAck& ack) {
 
   if (*signer == ctx_.d() && !p->probed) {
     // The destination's per-packet signed ack: delivery confirmed.
-    score_.add_clean();
-    ++delivered_;
-    ctx_.log_event(node(), obs::EventKind::kScoreClean, -1,
-                   obs::event_id64(ack.data_id.data()),
-                   score_.observations());
+    ledger_.clean(obs::event_id64(ack.data_id.data()));
     pending_.erase(ack.data_id);
     return;
   }
   p->ack_bits |= 1u << *signer;
   // Probed rounds resolve at the probe timeout once all reports are in.
-}
-
-double SigAckSource::observed_e2e_rate() const {
-  if (sent_ == 0) return 0.0;
-  return 1.0 - static_cast<double>(delivered_) / static_cast<double>(sent_);
 }
 
 // ----------------------------------------------------------------- relay

@@ -40,21 +40,21 @@ Bytes statfl_local_report(std::size_t index, std::uint64_t interval,
 
 StatFlSource::StatFlSource(const ProtocolContext& ctx)
     : ctx_(ctx),
-      score_(ctx.d()),
+      ledger_(make_ledger(ProtocolKind::kStatisticalFl, ctx.d(),
+                          ctx.params().blame)),
       send_period_(static_cast<sim::SimDuration>(
-          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {
-  score_.set_blame(ctx.params().blame);
-}
+          static_cast<double>(sim::kSecond) / ctx.params().send_rate_pps)) {}
 
 void StatFlSource::start() {
+  ledger_.log_to(ctx_.events(), &node().sim(), node().index());
   node().sim().after(send_period_, [this] { send_next(); });
 }
 
 void StatFlSource::send_next() {
-  if (sent_ >= ctx_.params().total_packets) return;
+  if (ledger_.packets_sent() >= ctx_.params().total_packets) return;
 
   net::DataPacket pkt;
-  pkt.seq = sent_;
+  pkt.seq = ledger_.packets_sent();
   pkt.timestamp_ns = static_cast<std::uint64_t>(node().local_now());
   pkt.payload_size = ctx_.params().payload_size;
   const net::PacketId id = pkt.id(ctx_.crypto());
@@ -63,15 +63,10 @@ void StatFlSource::send_next() {
 
   node().originate(sim::Direction::kToDest, shared_wire(pkt.encode()),
                    pkt.wire_size());
-  ctx_.log_event(node(), obs::EventKind::kDataSend, -1,
-                 obs::event_id64(id.data()), pkt.seq);
-  if (counted) {
-    ctx_.log_event(node(), obs::EventKind::kSampleSelect, -1,
-                   obs::event_id64(id.data()), pkt.seq);
-  }
-  ++sent_;
+  ledger_.send(obs::event_id64(id.data()), pkt.seq);
+  if (counted) ledger_.sample_select(obs::event_id64(id.data()), pkt.seq);
 
-  if (sent_ % ctx_.params().fl_interval_packets == 0) {
+  if (ledger_.packets_sent() % ctx_.params().fl_interval_packets == 0) {
     // Close the interval. The request trails the interval's last data
     // packet by a timer slack so that even with per-hop jitter it cannot
     // overtake it — node snapshots stay race-free.
@@ -84,7 +79,7 @@ void StatFlSource::send_next() {
                        [this, closing] { request_report(closing, 0); });
   }
 
-  if (sent_ < ctx_.params().total_packets) {
+  if (ledger_.packets_sent() < ctx_.params().total_packets) {
     node().sim().after(send_period_, [this] { send_next(); });
   }
 }
@@ -93,10 +88,8 @@ void StatFlSource::request_report(std::uint64_t interval, int attempt) {
   if (!awaiting_active_ || awaiting_ != interval) return;
   if (attempt >= kMaxRequestAttempts) {
     awaiting_active_ = false;
-    score_.interval_lost();
     // a = interval, b = attempts — the interval's report never arrived.
-    ctx_.log_event(node(), obs::EventKind::kAckTimeout, -1, interval,
-                   static_cast<std::uint64_t>(attempt));
+    ledger_.ack_timeout(interval, static_cast<std::uint64_t>(attempt));
     return;
   }
   net::FlRequest req;
@@ -155,15 +148,12 @@ void StatFlSource::handle_report(const net::FlReport& report) {
   for (std::size_t i = 0; i <= ctx_.d(); ++i) {
     // One kFlCount per node, in ascending order, so a stream consumer
     // can rebuild the accumulators without decoding the onion itself.
-    ctx_.log_event(node(), obs::EventKind::kFlCount,
-                   static_cast<std::int32_t>(i), report.interval, counts[i]);
-    score_.add_count(i, counts[i]);
+    ledger_.fl_count(static_cast<std::int32_t>(i), report.interval,
+                     counts[i]);
   }
-  score_.interval_reported();
   awaiting_active_ = false;
   // a = interval, b = intervals folded in so far.
-  ctx_.log_event(node(), obs::EventKind::kScoreClean, -1, report.interval,
-                 score_.intervals_reported());
+  ledger_.clean(report.interval);
 }
 
 // ----------------------------------------------------------------- relay

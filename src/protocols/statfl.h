@@ -20,31 +20,20 @@
 #include "net/onion.h"
 #include "net/packet.h"
 #include "protocols/context.h"
+#include "protocols/ledger.h"
 #include "protocols/relay_base.h"
-#include "protocols/score.h"
-#include "protocols/source_handle.h"
 #include "sim/node.h"
 
 namespace paai::protocols {
 
-class StatFlSource final : public sim::Agent, public SourceHandle {
+class StatFlSource final : public sim::Agent {
  public:
   explicit StatFlSource(const ProtocolContext& ctx);
 
   void start() override;
   void on_packet(const sim::PacketEnv& env) override;
 
-  std::uint64_t packets_sent() const override { return sent_; }
-  std::uint64_t observations() const override {
-    return score_.intervals_reported();
-  }
-  std::vector<double> thetas() const override { return score_.thetas(); }
-  std::vector<std::size_t> convicted(double threshold) const override {
-    return score_.convicted(threshold);
-  }
-  double observed_e2e_rate() const override {
-    return score_.observed_e2e_rate();
-  }
+  const ScoreLedger& ledger() const { return ledger_; }
 
  private:
   void send_next();
@@ -52,8 +41,7 @@ class StatFlSource final : public sim::Agent, public SourceHandle {
   void handle_report(const net::FlReport& report);
 
   const ProtocolContext& ctx_;
-  FlScoreTable score_;
-  std::uint64_t sent_ = 0;
+  ScoreLedger ledger_;
   std::uint64_t own_count_ = 0;       // current interval, source's stream
   std::uint64_t interval_ = 0;        // current interval number
   std::uint64_t awaiting_ = 0;        // interval with an outstanding request

@@ -1,16 +1,18 @@
 // Incremental scoring engine: the batch protocols' identify phase,
 // re-expressed as a consumer of the forensic event stream (obs/events.h).
 //
-// The batch sources log every score-table mutation as a typed event at the
-// moment it happens — kScoreClean/kScoreBlame/kFlCount carry the full
-// mutation payload, kDataSend/kSampleSelect/kAckTimeout carry the derived
-// counters (packets sent, probe rounds, lost intervals). All of them are
-// node-0 events, so the merged JSONL export preserves their exact append
-// order. ScoreEngine replays that order through the *same*
-// protocols/score.h classes the batch path uses, with the same calibration
-// literals, so its estimates, conviction sets, and e2e rates are
-// bit-identical to the originating run's — `paai replay` asserts this, and
-// tests/stream_test.cc proves it per protocol.
+// The batch sources score through a protocols::ScoreLedger that logs every
+// mutation as a typed event at the moment it happens. ScoreEngine hands
+// each scoring event to ScoreLedger::apply(), which calls the very
+// mutation method the source called, so its estimates, conviction sets,
+// and e2e rates are bit-identical to the originating run's — `paai
+// replay` asserts this, and tests/stream_test.cc proves it per protocol.
+// The event → mutation mapping is documented once, in protocols/ledger.h.
+//
+// What the engine adds is the stream's own bookkeeping: the in-band
+// run-config and run-end, the producer's recorded conviction verdicts,
+// events seen/applied, and the conviction-transition baseline behind
+// take_new_convictions().
 //
 // Configuration is in-band: the runner opens every log with a kRunConfig
 // event (protocol, path length, blame-mode code, threshold), so a consumer
@@ -18,28 +20,6 @@
 // can also be configured explicitly (restored snapshots, headless pipes);
 // a later kRunConfig that contradicts the active configuration is a hard
 // error rather than a silent re-score.
-//
-// Event → mutation mapping (exactly mirroring src/protocols):
-//
-//   full-ack / comb1 / sigack   kDataSend → packets_sent
-//     (ScoreTable)              kAckTimeout → note_probe
-//                               kScoreClean → add_clean, delivered
-//                               kScoreBlame(link) → blame(link)
-//   paai1 (ScoreTable)          same, except kAckTimeout does NOT
-//                               note_probe (the batch source never calls
-//                               it; exposure is the fixed 2.6) and the
-//                               timeout is immediately followed by its
-//                               kScoreBlame(0)
-//   paai2 (Paai2ScoreTable)     kDataSend → add_data_packet (every packet
-//                               is monitored in plain mode)
-//                               kScoreClean(b=e) → add_probe(e, false)
-//                               kScoreBlame(b=e) → add_probe(e, true)
-//   comb2 (Paai2ScoreTable)     like paai2, but kSampleSelect →
-//                               add_data_packet (only sampled packets are
-//                               monitored)
-//   statfl (FlScoreTable)       kFlCount(link=j, b=count) → add_count
-//                               kScoreClean → interval_reported
-//                               kAckTimeout → interval_lost
 #pragma once
 
 #include <cstdint>
@@ -49,7 +29,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "protocols/context.h"
-#include "protocols/score.h"
+#include "protocols/ledger.h"
 
 namespace paai::stream {
 
@@ -84,13 +64,14 @@ class ScoreEngine {
   /// (Re)configures the engine and resets all scoring state.
   void configure(const EngineConfig& config);
 
-  bool configured() const { return table_ != Table::kNone; }
+  bool configured() const { return ledger_.has_value(); }
   const EngineConfig& config() const { return config_; }
 
   /// Applies one event. Score-irrelevant kinds are counted and skipped.
   /// Throws std::runtime_error on an impossible payload (blame on an
   /// out-of-range link, kRunConfig contradicting the active
-  /// configuration, score events before any configuration).
+  /// configuration, score events before any configuration); a rejected
+  /// event changes nothing, not even events_seen().
   void apply(const obs::Event& event);
 
   /// Stream-position bookkeeping for replay diagnostics: the feeder
@@ -98,20 +79,33 @@ class ScoreEngine {
   /// kConviction records are stamped with it.
   void set_stream_line(std::uint64_t line) { stream_line_ = line; }
 
-  /// Every event fed through apply().
+  /// Every event apply() accepted.
   std::uint64_t events_seen() const { return events_seen_; }
   /// The subset that mutated scoring state or derived counters.
   std::uint64_t events_applied() const { return events_applied_; }
 
-  std::uint64_t packets_sent() const { return packets_sent_; }
-  std::uint64_t delivered() const { return delivered_; }
   bool run_ended() const { return run_ended_; }
 
-  // --- the SourceHandle-shaped read side -------------------------------
-  std::uint64_t observations() const;
-  std::vector<double> thetas() const;
-  std::vector<std::size_t> convicted() const;
-  double observed_e2e_rate() const;
+  /// The scoring state (engine must be configured).
+  const protocols::ScoreLedger& ledger() const { return *ledger_; }
+
+  // --- the ledger's read side (zero / empty while unconfigured) --------
+  std::uint64_t packets_sent() const {
+    return ledger_ ? ledger_->packets_sent() : 0;
+  }
+  std::uint64_t observations() const {
+    return ledger_ ? ledger_->observations() : 0;
+  }
+  std::vector<double> thetas() const {
+    return ledger_ ? ledger_->thetas() : std::vector<double>{};
+  }
+  std::vector<std::size_t> convicted() const {
+    return ledger_ ? ledger_->convicted(config_.threshold)
+                   : std::vector<std::size_t>{};
+  }
+  double observed_e2e_rate() const {
+    return ledger_ ? ledger_->observed_e2e_rate() : 0.0;
+  }
 
   /// Links that entered the convicted set since the previous call (or
   /// since configure/restore, which baseline the set). A link that leaves
@@ -125,50 +119,26 @@ class ScoreEngine {
   }
 
   // --- snapshot plumbing (stream/state.h) ------------------------------
-  const protocols::ScoreTable* onion_table() const {
-    return onion_ ? &*onion_ : nullptr;
-  }
-  const protocols::Paai2ScoreTable* prefix_table() const {
-    return prefix_ ? &*prefix_ : nullptr;
-  }
-  const protocols::FlScoreTable* fl_table() const {
-    return fl_ ? &*fl_ : nullptr;
+  /// The configured ledger, for restoring its tables (state.cc only).
+  protocols::ScoreLedger* mutable_ledger() {
+    return ledger_ ? &*ledger_ : nullptr;
   }
 
-  /// Overwrites the mutable counters from a snapshot (state.cc only; the
+  /// Overwrites the stream bookkeeping from a snapshot (state.cc only; the
   /// engine must already be configured with the matching shape).
   void restore_counters(std::uint64_t events_seen, std::uint64_t events_applied,
-                        std::uint64_t packets_sent, std::uint64_t delivered,
                         bool run_ended, std::vector<ConvictionRecord> recorded);
-  protocols::ScoreTable* mutable_onion_table() {
-    return onion_ ? &*onion_ : nullptr;
-  }
-  protocols::Paai2ScoreTable* mutable_prefix_table() {
-    return prefix_ ? &*prefix_ : nullptr;
-  }
-  protocols::FlScoreTable* mutable_fl_table() { return fl_ ? &*fl_ : nullptr; }
   /// Re-baselines conviction-transition tracking at the current state
   /// (called after a restore so already-convicted links are not
   /// re-announced).
   void rebaseline_convictions();
 
  private:
-  enum class Table : std::uint8_t { kNone, kOnion, kPrefix, kFl };
-
-  void apply_score_clean(const obs::Event& event);
-  void apply_score_blame(const obs::Event& event);
-  void require_configured(const obs::Event& event) const;
-
   EngineConfig config_{};
-  Table table_ = Table::kNone;
-  std::optional<protocols::ScoreTable> onion_;
-  std::optional<protocols::Paai2ScoreTable> prefix_;
-  std::optional<protocols::FlScoreTable> fl_;
+  std::optional<protocols::ScoreLedger> ledger_;
 
   std::uint64_t events_seen_ = 0;
   std::uint64_t events_applied_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t delivered_ = 0;
   bool run_ended_ = false;
   std::uint64_t stream_line_ = 0;
 

@@ -151,6 +151,8 @@ bool parse_ledger(const obs::JsonValue* win, std::size_t num_links,
 
 void write_state(std::ostream& os, const ScoreEngine& engine) {
   const EngineConfig& cfg = engine.config();
+  const protocols::ScoreLedger* ledger =
+      engine.configured() ? &engine.ledger() : nullptr;
   obs::JsonWriter w(os);
   w.begin_object();
   w.key("schema").value(kStateSchema);
@@ -172,7 +174,7 @@ void write_state(std::ostream& os, const ScoreEngine& engine) {
   w.key("packets_sent");
   write_u64(w, engine.packets_sent());
   w.key("delivered");
-  write_u64(w, engine.delivered());
+  write_u64(w, ledger != nullptr ? ledger->delivered() : 0);
   w.key("run_ended").value(engine.run_ended());
 
   w.key("recorded_convictions").begin_array();
@@ -191,7 +193,9 @@ void write_state(std::ostream& os, const ScoreEngine& engine) {
   w.end_array();
 
   w.key("table").begin_object();
-  if (const protocols::ScoreTable* t = engine.onion_table()) {
+  if (ledger == nullptr) {
+    w.key("kind").value("none");
+  } else if (const auto* t = ledger->table<protocols::ScoreTable>()) {
     w.key("kind").value("onion");
     w.key("s").begin_array();
     for (std::size_t i = 0; i < t->num_links(); ++i) write_u64(w, t->score(i));
@@ -206,7 +210,7 @@ void write_state(std::ostream& os, const ScoreEngine& engine) {
     w.end_array();
     write_ledger(w, t->windows());
     w.end_object();
-  } else if (const protocols::Paai2ScoreTable* t2 = engine.prefix_table()) {
+  } else if (const auto* t2 = ledger->table<protocols::Paai2ScoreTable>()) {
     w.key("kind").value("prefix");
     w.key("s").begin_array();
     for (std::size_t i = 0; i < t2->num_links(); ++i) {
@@ -236,7 +240,8 @@ void write_state(std::ostream& os, const ScoreEngine& engine) {
     w.end_array();
     write_ledger(w, t2->windows());
     w.end_object();
-  } else if (const protocols::FlScoreTable* tf = engine.fl_table()) {
+  } else {
+    const auto* tf = ledger->table<protocols::FlScoreTable>();
     w.key("kind").value("fl");
     w.key("acc").begin_array();
     for (std::size_t i = 0; i <= tf->num_links(); ++i) {
@@ -253,8 +258,6 @@ void write_state(std::ostream& os, const ScoreEngine& engine) {
     w.end_array();
     write_ledger(w, tf->windows());
     w.end_object();
-  } else {
-    w.key("kind").value("none");
   }
   w.end_object();
   w.end_object();
@@ -362,7 +365,8 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     return fail(error, "missing table.kind");
   }
 
-  if (protocols::ScoreTable* t = engine->mutable_onion_table()) {
+  protocols::ScoreLedger* ledger = engine->mutable_ledger();
+  if (auto* t = ledger->table<protocols::ScoreTable>()) {
     if (table_kind->string != "onion") {
       return fail(error, "table.kind does not match the protocol");
     }
@@ -391,7 +395,7 @@ bool load_state(std::string_view json, ScoreEngine* engine,
       t->restore_window(bins, led.completed, led.cur_streak, led.max_streak,
                         led.flagrant, led.max_theta_w, led.recent);
     }
-  } else if (protocols::Paai2ScoreTable* t2 = engine->mutable_prefix_table()) {
+  } else if (auto* t2 = ledger->table<protocols::Paai2ScoreTable>()) {
     if (table_kind->string != "prefix") {
       return fail(error, "table.kind does not match the protocol");
     }
@@ -428,7 +432,8 @@ bool load_state(std::string_view json, ScoreEngine* engine,
                          led.cur_streak, led.max_streak, led.flagrant,
                          led.max_theta_w, led.recent);
     }
-  } else if (protocols::FlScoreTable* tf = engine->mutable_fl_table()) {
+  } else {
+    auto* tf = ledger->table<protocols::FlScoreTable>();
     if (table_kind->string != "fl") {
       return fail(error, "table.kind does not match the protocol");
     }
@@ -466,12 +471,10 @@ bool load_state(std::string_view json, ScoreEngine* engine,
                          led.max_streak, led.flagrant, led.max_theta_w,
                          led.recent);
     }
-  } else {
-    return fail(error, "engine has no table after configure");
   }
 
-  engine->restore_counters(events_seen, events_applied, packets_sent,
-                           delivered, run_ended->boolean,
+  ledger->restore_counters(packets_sent, delivered);
+  engine->restore_counters(events_seen, events_applied, run_ended->boolean,
                            std::move(recorded));
   engine->rebaseline_convictions();
   return true;

@@ -1,10 +1,13 @@
 // Scoring/identification unit tests: ScoreTable per-traversal inversion,
 // conviction thresholds, the PAAI-2 prefix-difference estimator on
-// synthetic drop processes, and the PendingStore expiry machinery.
+// synthetic drop processes, the ScoreLedger factory's calibration and
+// event logging, and the PendingStore expiry machinery.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "obs/events.h"
+#include "protocols/ledger.h"
 #include "protocols/pending.h"
 #include "protocols/score.h"
 #include "sim/storage.h"
@@ -48,7 +51,76 @@ TEST(ScoreTable, RejectsBadConstructionAndIndices) {
   EXPECT_THROW(ScoreTable(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ScoreTable(3, 0.0), std::invalid_argument);
   ScoreTable t(3, 1.0);
+  t.add_clean();
+  t.blame(1);
+  const std::vector<double> thetas = t.thetas();
   EXPECT_THROW(t.blame(3), std::out_of_range);
+  // The range check runs before any counter moves.
+  EXPECT_EQ(t.observations(), 2u);
+  EXPECT_EQ(t.thetas(), thetas);
+  EXPECT_EQ(t.window_fill(), 2u);
+}
+
+// The ledger's calibration: the one place the table literals live.
+TEST(ScoreLedger, FactoryCalibratesEachFamily) {
+  const BlameSpec margin;
+  for (const ProtocolKind kind :
+       {ProtocolKind::kFullAck, ProtocolKind::kCombination1,
+        ProtocolKind::kSigAck, ProtocolKind::kPaai1}) {
+    ScoreLedger ledger = make_ledger(kind, 6, margin);
+    ASSERT_NE(ledger.table<ScoreTable>(), nullptr);
+    // One blame in four units: exposure 1 (+2 per probe) or a fixed 2.6.
+    ledger.clean(0);
+    ledger.clean(0);
+    ledger.clean(0);
+    ledger.blame(2, 0);
+    const double t = kind == ProtocolKind::kPaai1 ? 2.6 : 1.0;
+    EXPECT_DOUBLE_EQ(ledger.thetas()[2], 1.0 - std::pow(0.75, 1.0 / t))
+        << protocol_name(kind);
+  }
+  for (const ProtocolKind kind :
+       {ProtocolKind::kPaai2, ProtocolKind::kCombination2}) {
+    EXPECT_NE(make_ledger(kind, 6, margin).table<Paai2ScoreTable>(), nullptr);
+  }
+  const ScoreLedger fl = make_ledger(ProtocolKind::kStatisticalFl, 6, margin);
+  EXPECT_NE(fl.table<FlScoreTable>(), nullptr);
+  EXPECT_THROW(make_ledger(ProtocolKind::kPaai1, 0, margin),
+               std::invalid_argument);
+}
+
+// Probed rounds raise full-ack's exposure; PAAI-1's timeout scores nothing.
+TEST(ScoreLedger, AckTimeoutScoresPerProtocol) {
+  ScoreLedger full = make_ledger(ProtocolKind::kFullAck, 6, BlameSpec{});
+  EXPECT_TRUE(full.ack_timeout(1));
+  EXPECT_EQ(full.table<ScoreTable>()->probes(), 1u);
+  ScoreLedger paai1 = make_ledger(ProtocolKind::kPaai1, 6, BlameSpec{});
+  EXPECT_FALSE(paai1.ack_timeout(1));
+  EXPECT_EQ(paai1.table<ScoreTable>()->probes(), 0u);
+  ScoreLedger statfl =
+      make_ledger(ProtocolKind::kStatisticalFl, 6, BlameSpec{});
+  EXPECT_TRUE(statfl.ack_timeout(3, 4));
+  EXPECT_EQ(statfl.table<FlScoreTable>()->intervals_lost(), 1u);
+}
+
+// With no log attached a mutation appends nothing; with one attached it
+// appends exactly the event that describes it.
+TEST(ScoreLedger, LogsTheEventItApplies) {
+  ScoreLedger ledger = make_ledger(ProtocolKind::kFullAck, 6, BlameSpec{});
+  ledger.send(11, 0);
+  obs::EventLog log(64);
+  ledger.log_to(&log, /*clock=*/nullptr);
+  ledger.send(12, 1);
+  ledger.blame(3, 12);
+  const std::vector<obs::Event> events = log.merged();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kDataSend);
+  EXPECT_EQ(events[0].a, 12u);
+  EXPECT_EQ(events[0].b, 1u);
+  EXPECT_EQ(events[1].kind, obs::EventKind::kScoreBlame);
+  EXPECT_EQ(events[1].link, 3);
+  EXPECT_EQ(events[1].b, 1u);  // observations after the blame
+  EXPECT_EQ(events[1].value, ledger.thetas()[3]);
+  EXPECT_EQ(ledger.packets_sent(), 2u);
 }
 
 // Synthetic PAAI-2 process: d = 6 links with given per-traversal rates;

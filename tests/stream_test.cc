@@ -4,10 +4,13 @@
 // feeding a batch run's recorded event stream through ScoreEngine must
 // reproduce the run's final thetas, conviction set, observation counts,
 // and e2e rate *bit-identically* (exact double equality, no tolerance),
-// including across a mid-stream snapshot/restore cycle. Around that
-// anchor: paai.state.v1 round-trips, EventReader strictness (fuzz-style
-// malformed input with line-numbered errors), persistence-mode
-// conviction, and the serve loop's drain/snapshot behavior.
+// including across a mid-stream snapshot/restore cycle — both from full
+// simulated runs and, with no simulator, from random mutation sequences
+// driven straight through a protocols::ScoreLedger. Around that anchor:
+// rejected events leave the state untouched, paai.state.v1 round-trips,
+// EventReader strictness (fuzz-style malformed input with line-numbered
+// errors), persistence-mode conviction, and the serve loop's
+// drain/snapshot behavior.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +24,14 @@
 #include "adversary/spec.h"
 #include "faults/plan.h"
 #include "obs/events.h"
+#include "protocols/ledger.h"
 #include "protocols/score.h"
 #include "runner/experiment.h"
 #include "runner/producer.h"
 #include "stream/engine.h"
 #include "stream/service.h"
 #include "stream/state.h"
+#include "util/rng.h"
 
 namespace paai::stream {
 namespace {
@@ -399,6 +404,177 @@ TEST(Engine, ConvictionTransitionsFireOnce) {
   EXPECT_TRUE(engine.take_new_convictions().empty());
 }
 
+// ------------------------------------------------- the ledger, no simulator
+
+/// Drives a seeded random mutation sequence through `ledger`'s batch
+/// methods, in the shapes the protocol's source produces: sends with
+/// optional sampling marks, timeouts, and clean/blame resolutions (PAAI-2
+/// prefix outcomes with a selected node; statfl per-node counts folded
+/// per interval). Link 4 draws most of the loss so convictions occur.
+void drive_batch(protocols::ScoreLedger& ledger, std::uint64_t seed,
+                 int steps) {
+  Rng rng(seed);
+  const std::size_t d = ledger.num_links();
+  std::uint64_t interval = 0;
+  for (int i = 0; i < steps; ++i) {
+    const std::uint64_t id = rng.next_u64();
+    const std::uint64_t seq = ledger.packets_sent();
+    ledger.send(id, seq);
+    if (rng.bernoulli(0.3)) ledger.sample_select(id, seq);
+    switch (ledger.kind()) {
+      case protocols::ProtocolKind::kStatisticalFl:
+        if (ledger.packets_sent() % 10 != 0) break;
+        if (rng.bernoulli(0.1)) {
+          ledger.ack_timeout(interval, /*attempts=*/3);
+        } else {
+          std::uint64_t count = 20 + rng.next_below(10);
+          for (std::size_t node = 0; node <= d; ++node) {
+            ledger.fl_count(static_cast<std::int32_t>(node), interval, count);
+            const double loss = node == 4 ? 0.3 : 0.05;
+            if (count > 0 && rng.bernoulli(loss)) --count;
+          }
+          ledger.clean(interval);
+        }
+        ++interval;
+        break;
+      case protocols::ProtocolKind::kPaai2:
+      case protocols::ProtocolKind::kCombination2: {
+        if (!rng.bernoulli(0.2)) break;
+        ledger.ack_timeout(id);
+        const std::uint64_t selected = 1 + rng.next_below(d);
+        // Prefixes that include l_4 fail far more often.
+        if (rng.bernoulli(selected > 4 ? 0.4 : 0.05)) {
+          ledger.blame(-1, id, selected);
+        } else {
+          ledger.clean(id, selected);
+        }
+        break;
+      }
+      default:
+        if (rng.bernoulli(0.2)) ledger.ack_timeout(id);
+        if (rng.bernoulli(0.1)) {
+          const std::uint64_t link = rng.bernoulli(0.5) ? 4 : rng.next_below(d);
+          ledger.blame(static_cast<std::int32_t>(link), id);
+        } else {
+          ledger.clean(id);
+        }
+        break;
+    }
+  }
+}
+
+void expect_same_ledger(const ScoreEngine& want, const ScoreEngine& got) {
+  EXPECT_EQ(got.packets_sent(), want.packets_sent());
+  EXPECT_EQ(got.observations(), want.observations());
+  EXPECT_EQ(got.observed_e2e_rate(), want.observed_e2e_rate());
+  EXPECT_EQ(got.thetas(), want.thetas());  // exact double equality
+  EXPECT_EQ(got.convicted(), want.convicted());
+  EXPECT_EQ(state_to_string(got), state_to_string(want));
+}
+
+// Batch ≡ stream at the ledger level: the events a batch ledger logs,
+// applied to a fresh ledger — and to one restored from a mid-sequence
+// snapshot — reproduce its state bit for bit, for every protocol under
+// the margin rule and a window-backed rule.
+TEST(Ledger, LoggedEventsReplayBitIdentically) {
+  for (const char* spec : {"margin", "hybrid:3,64"}) {
+    for (const auto protocol : kAllProtocols) {
+      SCOPED_TRACE(std::string(spec) + " / " +
+                   protocols::protocol_name(protocol));
+      EngineConfig cfg;
+      cfg.protocol = protocol;
+      cfg.num_links = 6;
+      cfg.threshold = 0.02;
+      cfg.blame = protocols::BlameSpec::parse(spec);
+
+      ScoreEngine batch(cfg);
+      obs::EventLog log(1 << 16);
+      batch.mutable_ledger()->log_to(&log, /*clock=*/nullptr);
+      drive_batch(*batch.mutable_ledger(),
+                  0x1ed9e5 + static_cast<std::uint64_t>(protocol), 4000);
+      ASSERT_EQ(log.dropped(), 0u);
+      const std::vector<obs::Event> events = log.merged();
+
+      ScoreEngine fresh(cfg);
+      for (const obs::Event& e : events) fresh.apply(e);
+
+      const std::size_t half = events.size() / 2;
+      ScoreEngine first(cfg);
+      for (std::size_t i = 0; i < half; ++i) first.apply(events[i]);
+      ScoreEngine resumed;
+      std::string error;
+      ASSERT_TRUE(load_state(state_to_string(first), &resumed, &error))
+          << error;
+      for (std::size_t i = half; i < events.size(); ++i) {
+        resumed.apply(events[i]);
+      }
+
+      // events_seen/applied are the stream's own bookkeeping, not ledger
+      // state: the batch side fed nothing through apply().
+      batch.restore_counters(fresh.events_seen(), fresh.events_applied(),
+                             /*run_ended=*/false, {});
+      expect_same_ledger(batch, fresh);
+      expect_same_ledger(batch, resumed);
+      EXPECT_GT(batch.observations(), 0u);
+    }
+  }
+}
+
+/// Applies `bad` to `engine` and requires a std::runtime_error that leaves
+/// the estimates, observations and the whole snapshot document untouched.
+void expect_rejected_cleanly(ScoreEngine& engine, const obs::Event& bad) {
+  const std::vector<double> thetas = engine.thetas();
+  const std::uint64_t observations = engine.observations();
+  const std::string state = state_to_string(engine);
+  EXPECT_THROW(engine.apply(bad), std::runtime_error);
+  EXPECT_EQ(engine.thetas(), thetas);
+  EXPECT_EQ(engine.observations(), observations);
+  EXPECT_EQ(state_to_string(engine), state);
+}
+
+TEST(Ledger, RejectedOnionBlameChangesNothing) {
+  ScoreEngine engine(EngineConfig{protocols::ProtocolKind::kPaai1, 6, 0.018,
+                                  protocols::BlameSpec{}});
+  for (int i = 0; i < 20; ++i) {
+    engine.apply(make_event(obs::EventKind::kScoreClean));
+    engine.apply(make_event(obs::EventKind::kScoreBlame, /*link=*/2));
+  }
+  expect_rejected_cleanly(engine,
+                          make_event(obs::EventKind::kScoreBlame, /*link=*/6));
+  expect_rejected_cleanly(engine,
+                          make_event(obs::EventKind::kScoreBlame, /*link=*/-1));
+  expect_rejected_cleanly(engine, make_event(obs::EventKind::kFlCount, 2, 0, 9));
+}
+
+TEST(Ledger, RejectedPrefixSelectionChangesNothing) {
+  ScoreEngine engine(EngineConfig{protocols::ProtocolKind::kPaai2, 6, 0.018,
+                                  protocols::BlameSpec{}});
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    engine.apply(make_event(obs::EventKind::kDataSend, -1, i, i));
+    engine.apply(make_event(obs::EventKind::kScoreBlame, -1, i, 1 + i % 6));
+  }
+  for (const std::uint64_t selected : {std::uint64_t{0}, std::uint64_t{7}}) {
+    expect_rejected_cleanly(
+        engine, make_event(obs::EventKind::kScoreBlame, -1, 0, selected));
+    expect_rejected_cleanly(
+        engine, make_event(obs::EventKind::kScoreClean, -1, 0, selected));
+  }
+}
+
+TEST(Ledger, RejectedFlCountChangesNothing) {
+  ScoreEngine engine(EngineConfig{protocols::ProtocolKind::kStatisticalFl, 6,
+                                  0.018, protocols::BlameSpec{}});
+  for (std::int32_t node = 0; node <= 6; ++node) {
+    engine.apply(make_event(obs::EventKind::kFlCount, node, 0, 100 - node));
+  }
+  engine.apply(make_event(obs::EventKind::kScoreClean, -1, 0));
+  expect_rejected_cleanly(engine, make_event(obs::EventKind::kFlCount, 7, 1, 5));
+  expect_rejected_cleanly(engine,
+                          make_event(obs::EventKind::kFlCount, -1, 1, 5));
+  expect_rejected_cleanly(engine,
+                          make_event(obs::EventKind::kScoreBlame, /*link=*/3));
+}
+
 // ------------------------------------------------------- persistence rule
 
 TEST(Persistence, RequiresKRepetitions) {
@@ -538,6 +714,29 @@ TEST(Reader, RejectsMistypedFields) {
       R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":"x"})",
       // not an object
       R"([1,2,3])",
+      // node beyond uint16 (used to wrap silently to node 0)
+      R"({"ts_ns":0,"node":65536,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // fractional node (used to truncate silently to node 0)
+      R"({"ts_ns":0,"node":0.75,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // negative node
+      R"({"ts_ns":0,"node":-1,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      // link beyond int32 (an out-of-range float->int conversion before)
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":3e10,"a":"1","b":"0","v":0})",
+      // negative and fractional links
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":-1,"a":"1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"score-blame","link":2.5,"a":"1","b":"0","v":0})",
+      // ts_ns and seq at or beyond 2^53 (no longer exact in a double)
+      R"({"ts_ns":9007199254740992,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"ts_ns":-9007199254740993,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":9007199254740992,"kind":"data-send","a":"1","b":"0","v":0})",
+      // fractional ts_ns and negative seq
+      R"({"ts_ns":0.5,"node":0,"seq":0,"kind":"data-send","a":"1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":-1,"kind":"data-send","a":"1","b":"0","v":0})",
+      // signed or space-led decimal strings in a/b (strtoull would wrap
+      // "-1" to 2^64 - 1)
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"-1","b":"0","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"1","b":" 5","v":0})",
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"+1","b":"0","v":0})",
   };
   for (const char* line : bad_lines) {
     SCOPED_TRACE(line);
@@ -548,6 +747,25 @@ TEST(Reader, RejectsMistypedFields) {
     EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kError);
     EXPECT_NE(error.find("line 1:"), std::string::npos) << error;
   }
+}
+
+// The integer fields' largest legal values decode exactly.
+TEST(Reader, AcceptsIntegerFieldBoundaries) {
+  std::istringstream is(
+      R"({"ts_ns":-9007199254740991,"node":65535,"seq":9007199254740991,)"
+      R"("kind":"score-blame","link":2147483647,"a":"18446744073709551615",)"
+      R"("b":"0","v":0})"
+      "\n");
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::string error;
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent)
+      << error;
+  EXPECT_EQ(e.ts_ns, -9007199254740991LL);
+  EXPECT_EQ(e.node, 65535u);
+  EXPECT_EQ(e.seq, 9007199254740991ULL);
+  EXPECT_EQ(e.link, 2147483647);
+  EXPECT_EQ(e.a, 18446744073709551615ULL);
 }
 
 // Fuzz-style: every strict prefix of a valid line must be rejected (a

@@ -22,7 +22,10 @@
 #      loss-process state machines, crash-time pending-table teardown,
 #      the injector's scheduled retunes), crypto and wots (the SHA-NI kernel
 #      intrinsics, the padding edges, the fixed-32-byte chain step and
-#      the HMAC midstates).
+#      the HMAC midstates), score (every score table family and the
+#      ScoreLedger's mutations) and stream (all scoring runs through
+#      ScoreLedger::apply on events parsed from untrusted JSONL: the
+#      reader's field checks, rejected events, snapshot restore).
 #
 #   The 60k-packet ChaosPaperScale sweep is excluded under sanitizers for
 #   runtime; ChaosSmoke is its in-sanitizer representative.
@@ -99,7 +102,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
 echo "== leg 2: AddressSanitizer + UBSan =="
 cmake -B "$ASAN_DIR" -S . -DPAAI_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$ASAN_DIR" --target obs_test util_test sim_test onion_test exec_test faults_test crypto_test wots_test bench_diff -j "$(nproc)"
+cmake --build "$ASAN_DIR" --target obs_test util_test sim_test onion_test exec_test faults_test crypto_test wots_test score_test stream_test bench_diff -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
@@ -111,6 +114,8 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "$ASAN_DIR/tests/faults_test" "$CHAOS_FILTER"
 "$ASAN_DIR/tests/crypto_test"
 "$ASAN_DIR/tests/wots_test"
+"$ASAN_DIR/tests/score_test"
+"$ASAN_DIR/tests/stream_test"
 
 echo "== leg 3: bench_diff =="
 "$ASAN_DIR/tools/bench_diff" --self-test
@@ -378,4 +383,4 @@ awk '$1 == "phase" { for (i = 3; i <= NF; ++i) if ($i ~ /^ns=/) ns[$2] = substr(
   exit 1
 }
 
-echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/onion/exec/faults/crypto/wots), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
+echo "check.sh: TSan (exec/runner/fleet/mesh/obs/faults/telemetry), ASan+UBSan (obs/util/sim/onion/exec/faults/crypto/wots/score/stream), bench_diff clean, forensics smoke clean, colluder forensics clean, serve smoke clean, mesh smoke clean, detector smoke clean, telemetry smoke clean"
