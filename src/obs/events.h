@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -129,9 +130,11 @@ class EventLog {
   /// seq) — a deterministic total order.
   std::vector<Event> merged() const;
 
-  /// Writes merged() as JSONL: one strict-JSON object per line. `a` and
-  /// `b` are emitted as decimal strings so full 64-bit ids survive
-  /// double-typed JSON parsers; `link` is omitted when -1.
+  /// Writes merged() as JSONL: one strict-JSON object per line, laid out
+  /// by the event field table (events.cc). `a` and `b` are emitted as
+  /// decimal strings so full 64-bit ids survive double-typed JSON
+  /// parsers; `link` is omitted when -1; `v` is `%.17g`, or null when
+  /// non-finite.
   void write_jsonl(std::ostream& os) const;
 
   /// Parses a JSONL stream produced by write_jsonl(). On failure returns
@@ -152,6 +155,19 @@ class EventLog {
   std::uint64_t dropped_ = 0;
 };
 
+/// Decodes one event line (without its '\n') in a single pass over the
+/// bytes, with no heap use on success: the strict inverse of
+/// EventLog::write_jsonl(), driven by the same field table. Keys may come
+/// in any order and JSON whitespace (a CRLF line's '\r' included) may
+/// surround any token. Rejected: unknown or duplicate keys, a missing
+/// ts_ns/node/seq/kind, integer fields outside their range or written
+/// with a fraction or exponent, `\` escapes anywhere (the writer emits
+/// none), and anything that is not one flat JSON object. On failure
+/// returns false and, when `what` is non-null, a description without a
+/// line prefix; `*out` is untouched.
+bool scan_event_line(std::string_view line, Event* out,
+                     std::string* what = nullptr);
+
 /// Incremental line-oriented reader for the JSONL event stream — the
 /// reusable parsing half of EventLog::read_jsonl(), shaped for consumers
 /// that cannot (or must not) buffer the whole log: `paai serve` tails a
@@ -165,14 +181,18 @@ class EventLog {
 /// next() moves past the offending line, so callers choose between
 /// fail-fast (serve's default) and count-and-continue.
 ///
-/// Bounded buffering: lines are read character-by-character into a buffer
-/// capped at kMaxLineBytes (a well-formed event line is < 300 bytes, so
-/// 1 MiB is three orders of magnitude of headroom). An oversized line is
-/// a kError ("line N: exceeds maximum line length") and the rest of the
-/// line is discarded unstored — a newline-free garbage stream can no
-/// longer balloon the buffer to the stream's size. A stream that ends
+/// Bounded buffering: each line is framed with istream::getline into one
+/// uninitialized buffer of kMaxLineBytes + 1 bytes, allocated by the first
+/// next() call (a well-formed event line is < 300 bytes, so 1 MiB is three
+/// orders of magnitude of headroom, and only the pages a line touches
+/// become resident). getline scans the stream's buffered bytes for the
+/// '\n' and consumes it without asking the transport for the next line,
+/// so a FIFO consumer sees each event as soon as its line is complete.
+/// An oversized line is a kError ("line N: exceeds maximum line length")
+/// and the rest of the line is discarded unstored. A stream that ends
 /// mid-line (pipe truncation, torn tail) is also a kError ("unterminated
-/// line") instead of being silently parsed as if complete.
+/// line") instead of being silently parsed as if complete. The reader
+/// clears the stream's eof/fail bits before each read.
 class EventReader {
  public:
   /// Hard cap on one line's length; beyond it the line is malformed.
@@ -206,7 +226,7 @@ class EventReader {
 
  private:
   std::istream* is_;
-  std::string buf_;
+  std::unique_ptr<char[]> buf_;  // kMaxLineBytes + 1, uninitialized; lazy
   std::size_t line_no_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t errors_ = 0;

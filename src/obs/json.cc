@@ -147,6 +147,18 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
+bool json_integer(const JsonValue* v, std::int64_t lo, std::int64_t hi,
+                  std::int64_t* out) {
+  if (v == nullptr || !v->is_number()) return false;
+  const double x = v->number;
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) ||
+      std::trunc(x) != x) {
+    return false;
+  }
+  *out = static_cast<std::int64_t>(x);
+  return true;
+}
+
 namespace {
 
 constexpr std::size_t kMaxDepth = 64;

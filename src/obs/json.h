@@ -77,6 +77,16 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
 };
 
+/// Largest magnitude a JSON number carries exactly with no neighbour
+/// rounding onto it: 2^53 - 1 (2^53 + 1 already parses as 2^53).
+inline constexpr std::int64_t kJsonMaxExactInt = (std::int64_t{1} << 53) - 1;
+
+/// Reads an integer-valued JSON number in [lo, hi] (bounds within
+/// +-kJsonMaxExactInt). Missing, non-numeric, fractional and out-of-range
+/// values fail, so no double ever reaches an integer cast it does not fit.
+bool json_integer(const JsonValue* v, std::int64_t lo, std::int64_t hi,
+                  std::int64_t* out);
+
 /// Strict parse of a complete JSON document. On failure returns nullopt
 /// and, when `error` is non-null, a short description with the byte
 /// offset.

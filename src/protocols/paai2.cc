@@ -218,18 +218,6 @@ void Paai2Source::handle_report(const net::ReportAck& ack) {
   const bool match = ct_equal(ByteView(expected.data(), expected.size()),
                               ByteView(cur.data(), crypto::kMacSize));
 
-  // The a_d field is auxiliary delivery evidence, verified independently
-  // against [H(m)]_{K_d} (an unauthenticated copy a node stored could have
-  // been corrupted in flight — that must not poison the prefix score).
-  if (match && cur[crypto::kMacSize] == 1) {
-    const crypto::Mac ad = dest_ack_tag(ctx_, ack.data_id);
-    if (ct_equal(ByteView(ad.data(), ad.size()),
-                 ByteView(cur.data() + crypto::kMacSize + 1,
-                          crypto::kMacSize))) {
-      ++confirmed_deliveries_;
-    }
-  }
-
   ctx_.log_event(node(), obs::EventKind::kOnionDecode, -1,
                  obs::event_id64(ack.data_id.data()), p->selected,
                  match ? 1.0 : 0.0);

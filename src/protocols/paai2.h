@@ -66,7 +66,6 @@ class Paai2Source : public sim::Agent {
   ScoreLedger ledger_;
   PendingStore<Pending> pending_;
   std::uint64_t challenge_counter_ = 0;
-  std::uint64_t confirmed_deliveries_ = 0;  // via verified a_d copies
   sim::SimDuration send_period_;
 };
 

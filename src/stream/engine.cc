@@ -1,5 +1,6 @@
 #include "stream/engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -91,12 +92,13 @@ void ScoreEngine::apply(const obs::Event& event) {
 std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   std::vector<std::size_t> fresh;
   if (!ledger_) return fresh;
-  std::vector<bool> now(config_.num_links, false);
-  for (const std::size_t link : convicted()) {
-    now[link] = true;
+  const std::vector<std::size_t> now = convicted();
+  for (const std::size_t link : now) {
     if (!convicted_before_[link]) fresh.push_back(link);
   }
-  convicted_before_ = std::move(now);
+  // The baseline becomes `now` in place.
+  std::fill(convicted_before_.begin(), convicted_before_.end(), false);
+  for (const std::size_t link : now) convicted_before_[link] = true;
   if (!fresh.empty()) obs_convictions_.add(fresh.size());
   return fresh;
 }

@@ -12,6 +12,9 @@ namespace paai::stream {
 
 namespace {
 
+/// Path length cap: links are indexed by the event stream's int32 field.
+constexpr std::int64_t kMaxLinks = std::int64_t{1} << 31;
+
 void write_u64(obs::JsonWriter& w, std::uint64_t v) {
   w.value(std::to_string(v));
 }
@@ -105,9 +108,8 @@ struct LedgerDoc {
 bool parse_ledger(const obs::JsonValue* win, std::size_t num_links,
                   std::uint64_t expect_width, LedgerDoc* out,
                   std::string* error) {
-  const obs::JsonValue* v = win->find("v");
-  if (v == nullptr || !v->is_number() ||
-      static_cast<std::int64_t>(v->number) != 1) {
+  std::int64_t version = 0;
+  if (!obs::json_integer(win->find("v"), 1, 1, &version)) {
     return fail(error, "unsupported window state version");
   }
   if (!parse_u64(win->find("w"), &out->width) ||
@@ -282,22 +284,21 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     return fail(error, "missing or unsupported schema (want paai.state.v1)");
   }
 
-  const obs::JsonValue* protocol = doc->find("protocol");
-  const obs::JsonValue* links = doc->find("links");
+  std::int64_t kind_value = 0, links = 0;
   const obs::JsonValue* threshold = doc->find("threshold");
-  if (protocol == nullptr || !protocol->is_number() || links == nullptr ||
-      !links->is_number() || threshold == nullptr || !threshold->is_number()) {
-    return fail(error, "missing or mistyped protocol/links/threshold");
-  }
-  const auto kind_value = static_cast<std::int64_t>(protocol->number);
-  if (kind_value < 0 ||
-      kind_value > static_cast<std::int64_t>(protocols::ProtocolKind::kSigAck)) {
-    return fail(error, "unknown protocol id");
+  if (!obs::json_integer(
+          doc->find("protocol"), 0,
+          static_cast<std::int64_t>(protocols::ProtocolKind::kSigAck),
+          &kind_value) ||
+      !obs::json_integer(doc->find("links"), 1, kMaxLinks, &links) ||
+      threshold == nullptr || !threshold->is_number()) {
+    return fail(error,
+                "missing, mistyped or out-of-range protocol/links/threshold");
   }
 
   EngineConfig cfg;
   cfg.protocol = static_cast<protocols::ProtocolKind>(kind_value);
-  cfg.num_links = static_cast<std::size_t>(links->number);
+  cfg.num_links = static_cast<std::size_t>(links);
   cfg.threshold = threshold->number;
   std::uint64_t persistence = 0;
   if (!parse_u64(doc->find("persistence"), &persistence)) {
@@ -316,7 +317,6 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     cfg.blame.mode = protocols::BlameSpec::Mode::kPersistent;
     cfg.blame.k = persistence;
   }
-  if (cfg.num_links == 0) return fail(error, "links must be positive");
   engine->configure(cfg);
 
   std::uint64_t events_seen = 0, events_applied = 0;
@@ -338,15 +338,16 @@ bool load_state(std::string_view json, ScoreEngine* engine,
     return fail(error, "missing recorded_convictions");
   }
   for (const obs::JsonValue& item : recs->array) {
-    const obs::JsonValue* link = item.find("link");
     const obs::JsonValue* theta = item.find("theta");
     ConvictionRecord rec;
-    if (link == nullptr || !link->is_number() || theta == nullptr ||
-        !theta->is_number() || !parse_u64(item.find("packets"), &rec.packets) ||
+    std::int64_t link = 0;
+    if (!obs::json_integer(item.find("link"), 0, kMaxLinks - 1, &link) ||
+        theta == nullptr || !theta->is_number() ||
+        !parse_u64(item.find("packets"), &rec.packets) ||
         !parse_u64(item.find("observations"), &rec.observations)) {
       return fail(error, "mistyped conviction record");
     }
-    rec.link = static_cast<std::size_t>(link->number);
+    rec.link = static_cast<std::size_t>(link);
     rec.theta = theta->number;
     // Optional in legacy documents; rejected when present-but-mistyped.
     const obs::JsonValue* line = item.find("line");

@@ -14,16 +14,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "adversary/spec.h"
 #include "faults/plan.h"
 #include "obs/events.h"
+#include "obs/json.h"
 #include "protocols/ledger.h"
 #include "protocols/score.h"
 #include "runner/experiment.h"
@@ -344,6 +351,59 @@ TEST(Snapshot, LoadRejectsGarbage) {
       R"("table":{"kind":"onion","s":["0","0"],"n":"0","probes":"0"}})",
       &engine, &error));
   EXPECT_NE(error.find("shape"), std::string::npos);
+}
+
+// Integer fields of a snapshot must be integers in range. An edited
+// document with a fractional, huge or negative links, protocol, window
+// version or conviction link is rejected instead of cast ("links":6.7
+// used to restore a 6-link engine; 1e300 was an undefined float->int
+// conversion).
+TEST(Snapshot, RejectsNonIntegerAndOutOfRangeIntegers) {
+  const BatchRun batch = run_with_log(
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 3000, 7));
+  ScoreEngine engine;
+  for (const obs::Event& e : batch.events) engine.apply(e);
+  ASSERT_FALSE(engine.recorded_convictions().empty());
+  const std::string snapshot = state_to_string(engine);
+  {
+    ScoreEngine reloaded;
+    std::string error;
+    ASSERT_TRUE(load_state(snapshot, &reloaded, &error)) << error;
+    EXPECT_EQ(state_to_string(reloaded), snapshot);
+  }
+
+  const std::string record = R"("recorded_convictions":[{"link":)";
+  const std::size_t link_at = snapshot.find(record);
+  ASSERT_NE(link_at, std::string::npos) << snapshot;
+  const std::size_t digits_end =
+      snapshot.find(',', link_at + record.size());
+  std::string fractional_link = snapshot;
+  fractional_link.insert(digits_end, ".5");
+
+  const struct {
+    const char* from;
+    const char* to;
+  } edits[] = {
+      {R"("links":6,)", R"("links":6.7,)"},
+      {R"("links":6,)", R"("links":1e300,)"},
+      {R"("links":6,)", R"("links":0,)"},
+      {R"("v":1,"w")", R"("v":1.5,"w")"},
+      {R"("protocol":1,)", R"("protocol":-1,)"},
+      {R"("protocol":1,)", R"("protocol":1.5,)"},
+  };
+  std::vector<std::string> tampered = {fractional_link};
+  for (const auto& edit : edits) {
+    const std::size_t at = snapshot.find(edit.from);
+    ASSERT_NE(at, std::string::npos) << edit.from;
+    std::string doc = snapshot;
+    doc.replace(at, std::strlen(edit.from), edit.to);
+    tampered.push_back(doc);
+  }
+  for (const std::string& doc : tampered) {
+    ScoreEngine rejected;
+    std::string error;
+    EXPECT_FALSE(load_state(doc, &rejected, &error)) << doc;
+  }
 }
 
 // ------------------------------------------------------------- the engine
@@ -884,6 +944,626 @@ TEST(Reader, ReadJsonlWrapperFailsClosed) {
   const std::vector<obs::Event> events = obs::EventLog::read_jsonl(is, &error);
   EXPECT_TRUE(events.empty());
   EXPECT_NE(error.find("line 1:"), std::string::npos);
+}
+
+// A stream that serves one line per underflow() and counts the calls:
+// the reader must hand back each event having asked for no byte past that
+// event's '\n', so `paai serve` on a FIFO never blocks on a line it has
+// not yet been sent.
+class LinePerUnderflow : public std::streambuf {
+ public:
+  explicit LinePerUnderflow(std::vector<std::string> lines)
+      : lines_(std::move(lines)) {}
+
+  std::size_t underflows() const { return underflows_; }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    ++underflows_;
+    if (next_ == lines_.size()) return traits_type::eof();
+    std::string& line = lines_[next_++];
+    setg(line.data(), line.data(), line.data() + line.size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::size_t next_ = 0;
+  std::size_t underflows_ = 0;
+};
+
+TEST(Reader, ReturnsEachEventBeforeRequestingTheNextLine) {
+  std::vector<std::string> lines;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    lines.push_back(to_jsonl({make_event(obs::EventKind::kDataSend, -1, i, i)}));
+  }
+  LinePerUnderflow buf(lines);
+  std::istream is(&buf);
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::string error;
+  for (std::uint64_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent)
+        << error;
+    EXPECT_EQ(e.a, i);
+    EXPECT_EQ(buf.underflows(), i + 1) << "read past line " << i + 1;
+  }
+  EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEof);
+  EXPECT_EQ(reader.bytes(), to_jsonl({make_event(obs::EventKind::kDataSend)})
+                                    .size() *
+                                lines.size());
+}
+
+// The writer's own lines decode whatever order and JSON whitespace they
+// arrive in: keys reordered, spaces after ',' and ':', CRLF endings.
+TEST(Reader, AcceptsReorderedKeysWhitespaceAndCrlf) {
+  const std::string jsonl =
+      R"({"v":0.25, "b":"9","a":"7" ,"link":4,"kind":"score-blame",)"
+      R"( "seq":3,"node":2,"ts_ns":-5})"
+      "\r\n"
+      "\t{ \"ts_ns\" : 1 , \"node\" : 0 , \"seq\" : 0 , \"kind\" : "
+      "\"data-send\" } \r\n";
+  std::istringstream is(jsonl);
+  obs::EventReader reader(is);
+  obs::Event e;
+  std::string error;
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent)
+      << error;
+  EXPECT_EQ(e.ts_ns, -5);
+  EXPECT_EQ(e.node, 2u);
+  EXPECT_EQ(e.seq, 3u);
+  EXPECT_EQ(e.kind, obs::EventKind::kScoreBlame);
+  EXPECT_EQ(e.link, 4);
+  EXPECT_EQ(e.a, 7u);
+  EXPECT_EQ(e.b, 9u);
+  EXPECT_EQ(e.value, 0.25);
+  ASSERT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEvent)
+      << error;
+  EXPECT_EQ(e.ts_ns, 1);
+  EXPECT_EQ(e.link, -1);
+  EXPECT_EQ(e.a, 0u);
+  EXPECT_EQ(reader.next(&e, &error), obs::EventReader::Status::kEof);
+}
+
+// ------------------------------------------ the scanner vs the DOM oracle
+
+/// The event decode EventReader used before its single-pass scanner: a
+/// json_parse DOM walk, kept here as the differential oracle. It ignores
+/// unknown keys, takes the first of duplicate keys, decodes escapes and
+/// reads integer fields through a double, so it accepts the inputs the
+/// scanner newly rejects (see NewRejection).
+bool parse_event_line(const std::string& line, obs::Event* out,
+                      std::string* what) {
+  std::string parse_error;
+  const auto doc = obs::json_parse(line, &parse_error);
+  if (!doc.has_value()) {
+    *what = parse_error;
+    return false;
+  }
+  if (!doc->is_object()) {
+    *what = "not a JSON object";
+    return false;
+  }
+
+  obs::Event e;
+  const obs::JsonValue* kind = doc->find("kind");
+  std::int64_t ts = 0, node = 0, seq = 0;
+  if (!obs::json_integer(doc->find("ts_ns"), -obs::kJsonMaxExactInt,
+                         obs::kJsonMaxExactInt, &ts) ||
+      !obs::json_integer(doc->find("node"), 0, 65535, &node) ||
+      !obs::json_integer(doc->find("seq"), 0, obs::kJsonMaxExactInt, &seq) ||
+      kind == nullptr || !kind->is_string()) {
+    *what = "missing, mistyped or out-of-range ts_ns/node/seq/kind";
+    return false;
+  }
+  e.ts_ns = ts;
+  e.node = static_cast<std::uint16_t>(node);
+  e.seq = static_cast<std::uint64_t>(seq);
+  const auto k = obs::event_kind_from_name(kind->string);
+  if (!k.has_value()) {
+    *what = "unknown kind \"" + kind->string + "\"";
+    return false;
+  }
+  e.kind = *k;
+
+  const auto parse_u64 = [](const obs::JsonValue& v, std::uint64_t* x) {
+    // Digits only: strtoull alone would accept a sign and leading space.
+    if (!v.is_string() || v.string.empty() || v.string[0] < '0' ||
+        v.string[0] > '9') {
+      return false;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed =
+        std::strtoull(v.string.c_str(), &end, 10);
+    if (errno != 0 || end != v.string.c_str() + v.string.size()) return false;
+    *x = parsed;
+    return true;
+  };
+  if (const obs::JsonValue* link = doc->find("link")) {
+    std::int64_t l = 0;
+    if (!obs::json_integer(link, 0, 2147483647, &l)) {
+      *what = "mistyped link";
+      return false;
+    }
+    e.link = static_cast<std::int32_t>(l);
+  }
+  if (const obs::JsonValue* a = doc->find("a")) {
+    if (!parse_u64(*a, &e.a)) {
+      *what = "mistyped a";
+      return false;
+    }
+  }
+  if (const obs::JsonValue* b = doc->find("b")) {
+    if (!parse_u64(*b, &e.b)) {
+      *what = "mistyped b";
+      return false;
+    }
+  }
+  if (const obs::JsonValue* v = doc->find("v")) {
+    // Non-finite doubles are emitted as null; map them back to 0.
+    if (!v->is_number() && !v->is_null()) {
+      *what = "mistyped v";
+      return false;
+    }
+    e.value = v->is_number() ? v->number : 0.0;
+  }
+  *out = e;
+  return true;
+}
+
+/// The line write_jsonl produced before its table-driven formatter.
+std::string json_writer_line(const obs::Event& e) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.key("ts_ns").value(e.ts_ns);
+  w.key("node").value(static_cast<std::int64_t>(e.node));
+  w.key("seq").value(e.seq);
+  w.key("kind").value(obs::event_kind_name(e.kind));
+  if (e.link >= 0) w.key("link").value(static_cast<std::int64_t>(e.link));
+  w.key("a").value(std::to_string(e.a));
+  w.key("b").value(std::to_string(e.b));
+  w.key("v").value(e.value);
+  w.end_object();
+  os << '\n';
+  return os.str();
+}
+
+/// Event equality down to the bits of `v` (operator== calls -0 and 0
+/// equal).
+bool same_event_bits(const obs::Event& x, const obs::Event& y) {
+  return x == y && std::memcmp(&x.value, &y.value, sizeof x.value) == 0;
+}
+
+std::vector<std::string> split_lines(const std::string& jsonl) {
+  std::vector<std::string> lines;
+  std::size_t at = 0;
+  while (at < jsonl.size()) {
+    const std::size_t nl = jsonl.find('\n', at);
+    lines.push_back(jsonl.substr(at, nl - at));
+    at = nl + 1;
+  }
+  return lines;
+}
+
+// Every line of produced logs — all protocols, margin and hybrid blame,
+// with and without a GE + outage fault plan — decodes to the oracle's
+// event, and the table-driven writer reproduces the JsonWriter bytes.
+TEST(Scanner, MatchesDomOracleOnProducedLogs) {
+  std::size_t lines_checked = 0;
+  for (const char* blame : {"margin", "hybrid:3,64"}) {
+    for (const bool faulty : {false, true}) {
+      for (const auto protocol : kAllProtocols) {
+        SCOPED_TRACE(std::string(blame) + (faulty ? " faults " : " ") +
+                     protocols::protocol_name(protocol));
+        runner::ExperimentConfig cfg =
+            runner::paper_config(protocol, 400, 53);
+        cfg.params.blame = protocols::BlameSpec::parse(blame);
+        if (faulty) {
+          cfg.faults = faults::FaultPlan::parse(
+              "ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15;outage@3:t=1,dur=0.5");
+        }
+        const BatchRun batch = run_with_log(cfg);
+        ASSERT_EQ(batch.dropped, 0u);
+        std::string expected_jsonl;
+        for (const obs::Event& e : batch.events) {
+          expected_jsonl += json_writer_line(e);
+        }
+        const std::string jsonl = to_jsonl(batch.events);
+        ASSERT_EQ(jsonl, expected_jsonl);
+        if (faulty) {
+          EXPECT_NE(jsonl.find("node-crash"), std::string::npos);
+        }
+        for (const std::string& line : split_lines(jsonl)) {
+          obs::Event scanned, oracle;
+          std::string what;
+          ASSERT_TRUE(obs::scan_event_line(line, &scanned, &what))
+              << line << ": " << what;
+          ASSERT_TRUE(parse_event_line(line, &oracle, &what)) << line;
+          ASSERT_TRUE(same_event_bits(scanned, oracle)) << line;
+          ++lines_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(lines_checked, 50000u);
+}
+
+// Random events, every double bit pattern included: the table-driven
+// writer emits the JsonWriter bytes (%.17g, null for non-finite, link
+// left out when negative), and the scanner decodes the line back to the
+// oracle's event, bit for bit.
+TEST(Scanner, WriterMatchesJsonWriterOnRandomEvents) {
+  Rng rng(61);
+  for (int trial = 0; trial < 20000; ++trial) {
+    obs::Event e;
+    e.ts_ns = static_cast<std::int64_t>(rng.next_u64()) >>
+              (trial % 2 == 0 ? 11 : 0);
+    e.seq = rng.next_u64() >> (trial % 3 == 0 ? 1 : 11);
+    e.a = rng.next_u64() >> (rng.next_u64() % 64);
+    e.b = rng.next_u64() >> (rng.next_u64() % 64);
+    const std::uint64_t bits = rng.next_u64();
+    std::memcpy(&e.value, &bits, sizeof e.value);
+    if (trial % 4 == 0) e.value = static_cast<double>(bits % 1000) / 7.0;
+    e.link = trial % 3 == 0 ? -1
+             : trial % 3 == 1
+                 ? static_cast<std::int32_t>(rng.next_u64() % 64)
+                 : static_cast<std::int32_t>(rng.next_u64());
+    // (A high node index costs the log one ring per index below it.)
+    e.node = static_cast<std::uint16_t>(trial % 64 == 0 ? rng.next_u64()
+                                                        : rng.next_u64() % 16);
+    e.kind = static_cast<obs::EventKind>(rng.next_u64() % obs::kEventKindCount);
+
+    obs::EventLog log(1);
+    log.append(e.node, e.kind, e.ts_ns, e.link, e.a, e.b, e.value);
+    std::ostringstream os;
+    log.write_jsonl(os);
+    obs::Event written = log.merged().front();
+    ASSERT_EQ(os.str(), json_writer_line(written));
+
+    const std::string line = os.str().substr(0, os.str().size() - 1);
+    obs::Event scanned, oracle;
+    std::string what;
+    const bool scan_ok = obs::scan_event_line(line, &scanned, &what);
+    ASSERT_EQ(scan_ok, parse_event_line(line, &oracle, &what)) << line;
+    if (scan_ok) {
+      ASSERT_TRUE(same_event_bits(scanned, oracle)) << line;
+    }
+  }
+}
+
+/// The inputs the scanner rejects and the oracle accepts. Each is a bug
+/// fix: write_jsonl emits none of them, and each could smuggle a second,
+/// ignored reading of a line past a verifier.
+enum class NewRejection {
+  kNone,
+  kUnknownKey,
+  kDuplicateKey,
+  kNonIntegerForm,  // an integer field written as 1.0 or 1e0
+  kEscape,          // a `\` escape in a key, kind, a or b
+};
+
+NewRejection rejection_class(const std::string& what) {
+  if (what.find("unknown key") != std::string::npos) {
+    return NewRejection::kUnknownKey;
+  }
+  if (what.find("duplicate key") != std::string::npos) {
+    return NewRejection::kDuplicateKey;
+  }
+  if (what.find("fraction or exponent") != std::string::npos) {
+    return NewRejection::kNonIntegerForm;
+  }
+  if (what.find("escape sequence") != std::string::npos) {
+    return NewRejection::kEscape;
+  }
+  return NewRejection::kNone;
+}
+
+bool is_event_key(std::string_view key) {
+  for (const char* k : {"ts_ns", "node", "seq", "kind", "link", "a", "b", "v"}) {
+    if (key == k) return true;
+  }
+  return false;
+}
+
+/// Checks, independently of the scanner, that `line` (which the oracle
+/// accepted) really is in the class the scanner named.
+bool in_class(NewRejection c, const std::string& line, const std::string& what) {
+  const auto doc = obs::json_parse(line);
+  if (!doc.has_value()) return false;
+  switch (c) {
+    case NewRejection::kUnknownKey:
+      for (const auto& [key, value] : doc->object) {
+        if (!is_event_key(key)) return true;
+      }
+      return false;
+    case NewRejection::kDuplicateKey:
+      for (std::size_t i = 0; i < doc->object.size(); ++i) {
+        for (std::size_t j = i + 1; j < doc->object.size(); ++j) {
+          if (doc->object[i].first == doc->object[j].first) return true;
+        }
+      }
+      return false;
+    case NewRejection::kNonIntegerForm: {
+      // The named key's raw number token has a fraction or exponent.
+      const std::string quoted = "\"" + what.substr(0, what.find(':')) + "\"";
+      for (std::size_t at = line.find(quoted); at != std::string::npos;
+           at = line.find(quoted, at + 1)) {
+        std::size_t p = at + quoted.size();
+        while (p < line.size() && std::strchr(" \t\r:", line[p]) != nullptr) {
+          ++p;
+        }
+        for (; p < line.size() && std::strchr("+-.eE0123456789", line[p]);
+             ++p) {
+          if (std::strchr(".eE", line[p]) != nullptr) return true;
+        }
+      }
+      return false;
+    }
+    case NewRejection::kEscape:
+      return line.find('\\') != std::string::npos;
+    case NewRejection::kNone:
+      break;
+  }
+  return false;
+}
+
+TEST(Reader, NewlyRejectedInputs) {
+  const struct {
+    const char* line;
+    NewRejection why;
+  } cases[] = {
+      {R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","x":1})",
+       NewRejection::kUnknownKey},
+      {R"({"ts_ns":0,"node":0,"seq":0,"seq":1,"kind":"data-send"})",
+       NewRejection::kDuplicateKey},
+      {R"({"ts_ns":1.0,"node":0,"seq":0,"kind":"data-send"})",
+       NewRejection::kNonIntegerForm},
+      {R"({"ts_ns":0,"node":1e0,"seq":0,"kind":"data-send"})",
+       NewRejection::kNonIntegerForm},
+      {R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","link":2E1})",
+       NewRejection::kNonIntegerForm},
+      {R"({"ts_ns":0,"node":0,"seq":0,"kind":"data\u002dsend"})",
+       NewRejection::kEscape},
+      {R"({"ts_ns":0,"node":0,"seq":0,"kind":"data-send","a":"\u0031"})",
+       NewRejection::kEscape},
+      {R"({"\u0074s_ns":0,"node":0,"seq":0,"kind":"data-send"})",
+       NewRejection::kEscape},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    obs::Event e;
+    std::string what;
+    ASSERT_TRUE(parse_event_line(c.line, &e, &what)) << what;
+    ASSERT_FALSE(obs::scan_event_line(c.line, &e, &what));
+    EXPECT_EQ(rejection_class(what), c.why) << what;
+    EXPECT_TRUE(in_class(c.why, c.line, what)) << what;
+  }
+}
+
+/// Seeded mutations of canonical lines.
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string mutate(const std::string& line) {
+    std::string m = line;
+    const std::size_t rounds = 1 + rng_.next_u64() % 3 / 2;  // 1 or 2
+    for (std::size_t r = 0; r < rounds; ++r) m = once(m);
+    return m;
+  }
+
+ private:
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(rng_.next_u64() % n);
+  }
+
+  /// Top-level "key":value members of a flat canonical object.
+  static std::vector<std::string> members(const std::string& line) {
+    std::vector<std::string> out;
+    if (line.size() < 2 || line.front() != '{' || line.back() != '}') {
+      return out;
+    }
+    std::size_t at = 1;
+    while (at < line.size() - 1) {
+      std::size_t comma = line.find(',', at);
+      if (comma == std::string::npos) comma = line.size() - 1;
+      out.push_back(line.substr(at, comma - at));
+      at = comma + 1;
+    }
+    return out;
+  }
+
+  static std::string join(const std::vector<std::string>& parts) {
+    std::string out = "{";
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (i > 0) out += ',';
+      out += parts[i];
+    }
+    return out + "}";
+  }
+
+  std::string once(const std::string& line) {
+    static const char* const kNumbers[] = {
+        "1e999",  "-1e999", "1e-400", "-1e-400", "4.9e-324", "-0",
+        "1.0",    "1e0",    "01",     "9007199254740992",
+        "9007199254740991", "-9007199254740991", "18446744073709551616",
+        "18446744073709551615", "0", "65535", "65536", "2147483647",
+        "2147483648", "1E2", "-1", "0.5", "null", "true", "\"1\"", "1e",
+        "-", ".5", "2.5e-3", "1e+2", "123456789012345678901234567890",
+        "0.000000000000000000001e-310", "17976931348623159e292",
+    };
+    static const char* const kDigitStrings[] = {
+        "01", "18446744073709551616", "18446744073709551615", "-1", "1e0",
+        "", " 1", "0x10", "9007199254740992", "007",
+    };
+    static const char* const kWhitespace[] = {" ", "\t", "\r", "  ", "\r\n"};
+    std::vector<std::string> parts = members(line);
+    switch (pick(9)) {
+      case 0: {  // byte flips
+        std::string m = line;
+        if (m.empty()) return m;
+        static const char kPalette[] = "{}[],:\"\\ 0123456789.eE-+nulx\t\r";
+        for (std::size_t f = 1 + pick(3); f > 0; --f) {
+          m[pick(m.size())] = pick(2) == 0
+                                  ? kPalette[pick(sizeof kPalette - 1)]
+                                  : static_cast<char>(rng_.next_u64());
+        }
+        return m;
+      }
+      case 1:  // truncation
+        return line.substr(0, pick(line.size() + 1));
+      case 2:  // key reorder
+        for (std::size_t i = parts.size(); i > 1; --i) {
+          std::swap(parts[i - 1], parts[pick(i)]);
+        }
+        return parts.empty() ? line : join(parts);
+      case 3: {  // inserted whitespace, mostly around structural tokens
+        std::string m = line;
+        for (std::size_t n = 1 + pick(4); n > 0; --n) {
+          std::size_t at = pick(m.size() + 1);
+          if (pick(4) != 0) {
+            const std::size_t s = m.find_first_of("{}:,", at);
+            if (s != std::string::npos) at = s + pick(2);
+          }
+          m.insert(at, kWhitespace[pick(std::size(kWhitespace))]);
+        }
+        return m;
+      }
+      case 4:  // CRLF
+        return line + "\r";
+      case 5: {  // duplicate key, same or different value
+        if (parts.empty()) return line;
+        std::string dup = parts[pick(parts.size())];
+        if (pick(2) == 0) {
+          const std::size_t colon = dup.find(':');
+          if (colon != std::string::npos) {
+            dup = dup.substr(0, colon + 1) + kNumbers[pick(std::size(kNumbers))];
+          }
+        }
+        parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(parts.size() + 1)),
+                     dup);
+        return join(parts);
+      }
+      case 6: {  // unknown key
+        static const char* const kUnknown[] = {
+            R"("x":1)", R"("extra":"1")", R"("vv":null)", R"("":0)",
+            R"("Ts_ns":0)", R"("kind ":"data-send")", R"("nested":{"a":[1]})"};
+        parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(parts.size() + 1)),
+                     kUnknown[pick(std::size(kUnknown))]);
+        return join(parts);
+      }
+      case 7: {  // number token swap into a field's value
+        if (parts.empty()) return line;
+        std::string& part = parts[pick(parts.size())];
+        const std::size_t colon = part.find(':');
+        if (colon == std::string::npos) return line;
+        const bool quoted = colon + 1 < part.size() && part[colon + 1] == '"';
+        if (quoted && pick(2) == 0) {
+          part = part.substr(0, colon + 1) + "\"" +
+                 kDigitStrings[pick(std::size(kDigitStrings))] + "\"";
+        } else {
+          part = part.substr(0, colon + 1) + kNumbers[pick(std::size(kNumbers))];
+        }
+        return join(parts);
+      }
+      default: {  // a \u escape of a character inside some string
+        std::vector<std::size_t> spots;
+        bool in_string = false;
+        for (std::size_t i = 0; i < line.size(); ++i) {
+          if (line[i] == '"') {
+            in_string = !in_string;
+          } else if (in_string) {
+            spots.push_back(i);
+          }
+        }
+        if (spots.empty()) return line;
+        const std::size_t at = spots[pick(spots.size())];
+        char esc[8];
+        std::snprintf(esc, sizeof esc, "\\u%04x",
+                      static_cast<unsigned char>(line[at]));
+        return line.substr(0, at) + esc + line.substr(at + 1);
+      }
+    }
+  }
+
+  Rng rng_;
+};
+
+// Seeded mutants of canonical lines: the scanner and the oracle both
+// accept (with bit-identical events), both reject, or the mutant is in a
+// named new-rejection class, which the test confirms independently.
+TEST(Scanner, MutationFuzzAgreesWithDomOracle) {
+  runner::ExperimentConfig cfg =
+      runner::paper_config(protocols::ProtocolKind::kPaai2, 200, 59);
+  cfg.params.blame = protocols::BlameSpec::parse("hybrid:3,64");
+  const BatchRun batch = run_with_log(cfg);
+  std::vector<std::string> canonical;
+  for (const std::string& line : split_lines(to_jsonl(batch.events))) {
+    canonical.push_back(line);
+  }
+  // Boundary values and every field present.
+  canonical.push_back(
+      R"({"ts_ns":-9007199254740991,"node":65535,"seq":9007199254740991,)"
+      R"("kind":"score-blame","link":2147483647,"a":"18446744073709551615",)"
+      R"("b":"0","v":-2.2250738585072014e-308})");
+  canonical.push_back(
+      R"({"ts_ns":0,"node":0,"seq":0,"kind":"conviction","link":0,"a":"0",)"
+      R"("b":"1","v":null})");
+
+  Mutator mutator(67);
+  std::size_t accepted = 0, rejected = 0;
+  std::size_t by_class[5] = {};
+  constexpr std::size_t kMutants = 24000;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const std::string m =
+        mutator.mutate(canonical[i % canonical.size()]);
+    obs::Event scanned, oracle;
+    std::string scan_what, oracle_what;
+    const bool scan_ok = obs::scan_event_line(m, &scanned, &scan_what);
+    const bool oracle_ok = parse_event_line(m, &oracle, &oracle_what);
+    if (scan_ok) {
+      ASSERT_TRUE(oracle_ok) << m;
+      ASSERT_TRUE(same_event_bits(scanned, oracle)) << m;
+      ++accepted;
+    } else if (!oracle_ok) {
+      ++rejected;
+    } else {
+      const NewRejection c = rejection_class(scan_what);
+      ASSERT_NE(c, NewRejection::kNone) << m << "\n" << scan_what;
+      ASSERT_TRUE(in_class(c, m, scan_what)) << m << "\n" << scan_what;
+      ++by_class[static_cast<std::size_t>(c)];
+    }
+    // The framed path agrees with the bare scanner.
+    if (i % 16 == 0 && m.find('\n') == std::string::npos) {
+      std::istringstream is(m + "\n");
+      obs::EventReader reader(is);
+      obs::Event framed;
+      const bool blank = m.empty();
+      const auto status = reader.next(&framed);
+      if (blank) {
+        EXPECT_EQ(status, obs::EventReader::Status::kEof) << m;
+      } else {
+        ASSERT_EQ(status == obs::EventReader::Status::kEvent, scan_ok) << m;
+        if (scan_ok) {
+          ASSERT_TRUE(same_event_bits(framed, scanned)) << m;
+        }
+      }
+    }
+  }
+  // Every outcome is exercised, every new-rejection class included.
+  EXPECT_GT(accepted, kMutants / 10);
+  EXPECT_GT(rejected, kMutants / 10);
+  EXPECT_GT(by_class[static_cast<std::size_t>(NewRejection::kUnknownKey)], 0u);
+  EXPECT_GT(by_class[static_cast<std::size_t>(NewRejection::kDuplicateKey)],
+            0u);
+  EXPECT_GT(by_class[static_cast<std::size_t>(NewRejection::kNonIntegerForm)],
+            0u);
+  EXPECT_GT(by_class[static_cast<std::size_t>(NewRejection::kEscape)], 0u);
 }
 
 // ------------------------------------------------------------- the service

@@ -46,7 +46,8 @@
 #      localise in-window drops; PAAI-1's blame-to-first-failing-hop
 #      heuristic measurably under-attributes here (bench_robustness C).
 #
-#   6. serve-mode smoke — stream engine replay + snapshot/restore.
+#   6. serve-mode smoke — stream engine replay (also of a CRLF copy with
+#      a space after every ',' and ':') + snapshot/restore.
 #
 #   7. mesh smoke — a compromised fat-tree core straddling ~100 paths per
 #      out-link; the aggregated cross-path score store (paai mesh) must
@@ -196,6 +197,20 @@ echo "== leg 6: serve-mode smoke (stream engine replay + snapshot/restore) =="
     > "$SMOKE_DIR/replay.stdout" || {
   echo "leg 6 FAILED: replay --verify diverged from the batch run:" >&2
   cat "$SMOKE_DIR/replay.stdout" >&2
+  exit 1
+}
+# The reader's whitespace-tolerant grammar end to end: the same log with
+# CRLF line endings and a space after every ',' and ':' must verify too.
+sed -e 's/,/, /g' -e 's/:/: /g' -e 's/$/\r/' "$SMOKE_DIR/stream.jsonl" \
+    > "$SMOKE_DIR/stream_crlf.jsonl"
+"$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/stream_crlf.jsonl" --verify \
+    > "$SMOKE_DIR/replay_crlf.stdout" || {
+  echo "leg 6 FAILED: replay --verify diverged on the CRLF/spaced copy:" >&2
+  cat "$SMOKE_DIR/replay_crlf.stdout" >&2
+  exit 1
+}
+grep -q "verify: OK" "$SMOKE_DIR/replay_crlf.stdout" || {
+  echo "leg 6 FAILED: CRLF/spaced replay did not report verify: OK" >&2
   exit 1
 }
 # Snapshot mid-stream, restore, and finish: same verdict.
