@@ -9,7 +9,7 @@
 //            (the pure scoring cost);
 //   serve    events/s through serve_stream (reader + engine, the real
 //            ingest path);
-//   snapshot paai.state.v1 write and restore latency (the cost of
+//   snapshot paai.state.v2 write and restore latency (the cost of
 //            --snapshot-every and of a --state-in restart).
 //
 // Every timing metric here measures the machine, not the protocols —

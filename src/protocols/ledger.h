@@ -132,8 +132,6 @@ class ScoreLedger {
   /// End-to-end data drop rate psi as the source observes it.
   double observed_e2e_rate() const;
 
-  // --- snapshot plumbing (stream/state.cc) ------------------------------
-
   /// The table when it is a `T` (ScoreTable, Paai2ScoreTable or
   /// FlScoreTable), else nullptr.
   template <typename T>
@@ -145,9 +143,24 @@ class ScoreLedger {
     return std::get_if<T>(&table_);
   }
 
-  void restore_counters(std::uint64_t packets_sent, std::uint64_t delivered) {
-    packets_sent_ = packets_sent;
-    delivered_ = delivered;
+  // --- snapshot codec (stream/state.cc) ---------------------------------
+  // Two templates, not one: the snapshot puts the stream engine's
+  // run_ended and recorded_convictions between the counters and the
+  // "table" object.
+
+  /// Names packets_sent and delivered.
+  template <class Io>
+  void counters_io(Io& io) {
+    io.field("packets_sent", packets_sent_);
+    io.field("delivered", delivered_);
+  }
+
+  /// Names the table's state as the "table" object.
+  template <class Io>
+  void table_io(Io& io) {
+    io.object("table", [&] {
+      std::visit([&io](auto& t) { t.state_io(io); }, table_);
+    });
   }
 
  private:

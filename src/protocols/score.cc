@@ -141,43 +141,6 @@ std::vector<std::size_t> ScoreTable::convicted(double threshold) const {
   return out;
 }
 
-void ScoreTable::restore(const std::vector<std::uint64_t>& s, std::uint64_t n,
-                         std::uint64_t probes) {
-  if (s.size() != s_.size()) {
-    throw std::invalid_argument("ScoreTable::restore: link count mismatch");
-  }
-  s_ = s;
-  n_ = n;
-  probes_ = probes;
-  // Legacy snapshots carry no window state; start from a clean ledger and
-  // let restore_window() (new snapshots) rebuild the real one.
-  std::fill(win_s_.begin(), win_s_.end(), 0ULL);
-  ledger_.reset();
-}
-
-void ScoreTable::restore_window(
-    const std::vector<std::uint64_t>& bins, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (bins.size() != win_s_.size()) {
-    throw std::invalid_argument("ScoreTable::restore_window: shape mismatch");
-  }
-  win_s_ = bins;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void ScoreTable::reset() {
-  std::fill(s_.begin(), s_.end(), 0ULL);
-  n_ = 0;
-  probes_ = 0;
-  std::fill(win_s_.begin(), win_s_.end(), 0ULL);
-  ledger_.reset();
-}
-
 Paai2ScoreTable::Paai2ScoreTable(std::size_t num_links)
     : s_(num_links, 0),
       sel_n_(num_links + 1, 0),
@@ -340,55 +303,6 @@ std::vector<std::size_t> Paai2ScoreTable::convicted(double threshold) const {
   return out;
 }
 
-void Paai2ScoreTable::restore(const std::vector<std::uint64_t>& s,
-                              const std::vector<std::uint64_t>& sel_n,
-                              const std::vector<std::uint64_t>& sel_f,
-                              std::uint64_t data_packets,
-                              std::uint64_t probes) {
-  if (s.size() != s_.size() || sel_n.size() != sel_n_.size() ||
-      sel_f.size() != sel_f_.size()) {
-    throw std::invalid_argument("Paai2ScoreTable::restore: shape mismatch");
-  }
-  s_ = s;
-  sel_n_ = sel_n;
-  sel_f_ = sel_f;
-  data_packets_ = data_packets;
-  probes_ = probes;
-  std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
-  std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
-  ledger_.reset();
-}
-
-void Paai2ScoreTable::restore_window(
-    const std::vector<std::uint64_t>& sel_n_bins,
-    const std::vector<std::uint64_t>& sel_f_bins, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (sel_n_bins.size() != win_sel_n_.size() ||
-      sel_f_bins.size() != win_sel_f_.size()) {
-    throw std::invalid_argument(
-        "Paai2ScoreTable::restore_window: shape mismatch");
-  }
-  win_sel_n_ = sel_n_bins;
-  win_sel_f_ = sel_f_bins;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void Paai2ScoreTable::reset() {
-  std::fill(s_.begin(), s_.end(), 0ULL);
-  std::fill(sel_n_.begin(), sel_n_.end(), 0ULL);
-  std::fill(sel_f_.begin(), sel_f_.end(), 0ULL);
-  data_packets_ = 0;
-  probes_ = 0;
-  std::fill(win_sel_n_.begin(), win_sel_n_.end(), 0ULL);
-  std::fill(win_sel_f_.begin(), win_sel_f_.end(), 0ULL);
-  ledger_.reset();
-}
-
 FlScoreTable::FlScoreTable(std::size_t num_links)
     : acc_(num_links + 1, 0.0),
       win_acc_(num_links + 1, 0.0),
@@ -490,42 +404,6 @@ std::vector<std::size_t> FlScoreTable::convicted(double threshold) const {
 double FlScoreTable::observed_e2e_rate() const {
   if (acc_[0] <= 0.0) return 0.0;
   return std::max(0.0, 1.0 - acc_.back() / acc_[0]);
-}
-
-void FlScoreTable::restore(const std::vector<double>& acc,
-                           std::uint64_t intervals_reported,
-                           std::uint64_t intervals_lost) {
-  if (acc.size() != acc_.size()) {
-    throw std::invalid_argument("FlScoreTable::restore: shape mismatch");
-  }
-  acc_ = acc;
-  intervals_reported_ = intervals_reported;
-  intervals_lost_ = intervals_lost;
-  std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
-  ledger_.reset();
-}
-
-void FlScoreTable::restore_window(
-    const std::vector<double>& counts, std::uint64_t completed,
-    const std::vector<std::uint64_t>& cur_streak,
-    const std::vector<std::uint64_t>& max_streak,
-    const std::vector<std::uint64_t>& flagrant,
-    const std::vector<double>& max_theta_w,
-    const std::vector<std::vector<double>>& recent) {
-  if (counts.size() != win_acc_.size()) {
-    throw std::invalid_argument("FlScoreTable::restore_window: shape mismatch");
-  }
-  win_acc_ = counts;
-  ledger_.restore(completed, cur_streak, max_streak, flagrant, max_theta_w,
-                  recent);
-}
-
-void FlScoreTable::reset() {
-  std::fill(acc_.begin(), acc_.end(), 0.0);
-  intervals_reported_ = 0;
-  intervals_lost_ = 0;
-  std::fill(win_acc_.begin(), win_acc_.end(), 0.0);
-  ledger_.reset();
 }
 
 }  // namespace paai::protocols

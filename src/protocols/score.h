@@ -37,11 +37,11 @@
 // verdicts never read it.
 //
 // All three tables are *stream-consumable*: every mutation corresponds
-// 1:1 to a forensic event the protocols log (obs/events.h), the counters
-// are exposed for snapshotting, and restore() rebuilds a table from a
-// snapshot bit-identically — src/stream's online engine replays a
-// recorded event log through these exact classes, so batch and streaming
-// convictions agree to the last bit.
+// 1:1 to a forensic event the protocols log (obs/events.h), and each
+// table's state_io() names its mutable counters once, for both the
+// snapshot writer and its reader (stream/state.cc) — src/stream's online
+// engine replays a recorded event log through these exact classes, so
+// batch and streaming convictions agree to the last bit.
 #pragma once
 
 #include <cstdint>
@@ -93,36 +93,29 @@ class ScoreTable {
 
   std::size_t num_links() const { return s_.size(); }
 
-  /// Windowed view: the ledger of closed windows, the current window's
-  /// per-link blame bins, and the burstiness statistic (max window
-  /// blame-share over cumulative share).
+  /// Windowed view: the ledger of closed windows and the burstiness
+  /// statistic (max window blame-share over cumulative share).
   const WindowLedger& windows() const { return ledger_; }
-  const std::vector<std::uint64_t>& window_bins() const { return win_s_; }
   std::uint64_t window_fill() const { return n_ % ledger_.width(); }
   double burstiness(std::size_t link) const {
     return ledger_.burstiness(link, theta(link));
   }
 
-  /// Rebuilds the mutable counters from a snapshot (paai.state.v1).
-  /// `s.size()` must equal num_links(); throws std::invalid_argument
-  /// otherwise. Calibration (traversals/probe_extra/blame) is
-  /// construction-time state and is not touched. Window state is zeroed
-  /// (legacy snapshots carry none); restore_window() rebuilds it.
-  void restore(const std::vector<std::uint64_t>& s, std::uint64_t n,
-               std::uint64_t probes);
-
-  /// Rebuilds the window layer from a snapshot's "window" object: the
-  /// current window's blame bins plus the ledger counters. Call after
-  /// restore(); `bins.size()` must equal num_links().
-  void restore_window(const std::vector<std::uint64_t>& bins,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  /// Names the mutable counters for the snapshot codec
+  /// (stream/state.cc), in the "table" object's member order.
+  /// Calibration (traversals/probe_extra/blame) is construction-time
+  /// state and is not part of it.
+  template <class Io>
+  void state_io(Io& io) {
+    io.fixed("kind", "onion");
+    io.field("s", s_);
+    io.field("n", n_);
+    io.field("probes", probes_);
+    io.object("window", [&] {
+      io.field("bins", win_s_);
+      ledger_.state_io(io);
+    });
+  }
 
  private:
   double effective_traversals() const;
@@ -176,34 +169,27 @@ class Paai2ScoreTable {
   std::size_t num_links() const { return s_.size(); }
 
   const WindowLedger& windows() const { return ledger_; }
-  const std::vector<std::uint64_t>& window_sel_n() const { return win_sel_n_; }
-  const std::vector<std::uint64_t>& window_sel_f() const { return win_sel_f_; }
   std::uint64_t window_fill() const { return probes_ % ledger_.width(); }
   double burstiness(std::size_t link) const {
     return ledger_.burstiness(link, thetas()[link]);
   }
 
-  /// Rebuilds the mutable counters from a snapshot (paai.state.v1).
-  /// Vector sizes must match the construction shape; throws
-  /// std::invalid_argument otherwise. Window state is zeroed;
-  /// restore_window() rebuilds it.
-  void restore(const std::vector<std::uint64_t>& s,
-               const std::vector<std::uint64_t>& sel_n,
-               const std::vector<std::uint64_t>& sel_f,
-               std::uint64_t data_packets, std::uint64_t probes);
-
-  /// Rebuilds the window layer: current-window selection bins (both
-  /// sized num_links() + 1) plus the ledger counters.
-  void restore_window(const std::vector<std::uint64_t>& sel_n_bins,
-                      const std::vector<std::uint64_t>& sel_f_bins,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  /// Names the mutable counters for the snapshot codec, in the "table"
+  /// object's member order.
+  template <class Io>
+  void state_io(Io& io) {
+    io.fixed("kind", "prefix");
+    io.field("s", s_);
+    io.field("sel_n", sel_n_);
+    io.field("sel_f", sel_f_);
+    io.field("data_packets", data_packets_);
+    io.field("probes", probes_);
+    io.object("window", [&] {
+      io.field("sel_n_bins", win_sel_n_);
+      io.field("sel_f_bins", win_sel_f_);
+      ledger_.state_io(io);
+    });
+  }
 
  private:
   bool margin_convicts(std::size_t link, double threshold,
@@ -265,7 +251,6 @@ class FlScoreTable {
   double observed_e2e_rate() const;
 
   const WindowLedger& windows() const { return ledger_; }
-  const std::vector<double>& window_counts() const { return win_acc_; }
   std::uint64_t window_fill() const {
     return intervals_reported_ % ledger_.width();
   }
@@ -273,23 +258,19 @@ class FlScoreTable {
     return ledger_.burstiness(link, thetas()[link]);
   }
 
-  /// Rebuilds the accumulators from a snapshot. `acc.size()` must be
-  /// num_links() + 1; throws std::invalid_argument otherwise. Window
-  /// state is zeroed; restore_window() rebuilds it.
-  void restore(const std::vector<double>& acc,
-               std::uint64_t intervals_reported, std::uint64_t intervals_lost);
-
-  /// Rebuilds the window layer: current-window per-node count sums
-  /// (sized num_links() + 1) plus the ledger counters.
-  void restore_window(const std::vector<double>& counts,
-                      std::uint64_t completed,
-                      const std::vector<std::uint64_t>& cur_streak,
-                      const std::vector<std::uint64_t>& max_streak,
-                      const std::vector<std::uint64_t>& flagrant,
-                      const std::vector<double>& max_theta_w,
-                      const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  /// Names the mutable counters for the snapshot codec, in the "table"
+  /// object's member order.
+  template <class Io>
+  void state_io(Io& io) {
+    io.fixed("kind", "fl");
+    io.field("acc", acc_);
+    io.field("intervals_reported", intervals_reported_);
+    io.field("intervals_lost", intervals_lost_);
+    io.object("window", [&] {
+      io.field("counts", win_acc_);
+      ledger_.state_io(io);
+    });
+  }
 
  private:
   bool margin_convicts(std::size_t link, double threshold,

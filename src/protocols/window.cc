@@ -199,35 +199,4 @@ double WindowLedger::burstiness(std::size_t link,
   return links_[link].max_theta_w / cumulative_theta;
 }
 
-void WindowLedger::restore(std::uint64_t completed,
-                           const std::vector<std::uint64_t>& cur_streak,
-                           const std::vector<std::uint64_t>& max_streak,
-                           const std::vector<std::uint64_t>& flagrant,
-                           const std::vector<double>& max_theta_w,
-                           const std::vector<std::vector<double>>& recent) {
-  const std::size_t d = links_.size();
-  if (cur_streak.size() != d || max_streak.size() != d ||
-      flagrant.size() != d || max_theta_w.size() != d || recent.size() != d) {
-    throw std::invalid_argument("WindowLedger::restore: shape mismatch");
-  }
-  for (const auto& ring : recent) {
-    if (ring.size() > kWindowRingCap) {
-      throw std::invalid_argument("WindowLedger::restore: ring overflow");
-    }
-  }
-  completed_ = completed;
-  for (std::size_t i = 0; i < d; ++i) {
-    links_[i].cur_streak = cur_streak[i];
-    links_[i].max_streak = max_streak[i];
-    links_[i].flagrant = flagrant[i];
-    links_[i].max_theta_w = max_theta_w[i];
-    links_[i].recent = recent[i];
-  }
-}
-
-void WindowLedger::reset() {
-  completed_ = 0;
-  for (auto& st : links_) st = LinkState{};
-}
-
 }  // namespace paai::protocols

@@ -27,7 +27,8 @@
 // Contracts: every ledger mutation is driven by the same table mutators
 // the forensic event stream replays (src/stream bit-identity); the
 // ledger's counters are plain u64s/doubles keyed by window index, so
-// snapshots (paai.state.v1 "window" objects) restore them losslessly.
+// snapshots (paai.state.v2 "window" objects, named by state_io) restore
+// them losslessly.
 #pragma once
 
 #include <cstdint>
@@ -157,17 +158,22 @@ class WindowLedger {
   /// window closed or while the cumulative estimate is 0.
   double burstiness(std::size_t link, double cumulative_theta) const;
 
-  /// Rebuilds the ledger from a snapshot (paai.state.v1 "window" object).
-  /// All vectors must have num_links() entries and each recent ring at
-  /// most kWindowRingCap values; throws std::invalid_argument otherwise.
-  void restore(std::uint64_t completed,
-               const std::vector<std::uint64_t>& cur_streak,
-               const std::vector<std::uint64_t>& max_streak,
-               const std::vector<std::uint64_t>& flagrant,
-               const std::vector<double>& max_theta_w,
-               const std::vector<std::vector<double>>& recent);
-
-  void reset();
+  /// Names the ledger's state for the snapshot codec (stream/state.cc),
+  /// in the "window" object's member order. "v" is the layout version and
+  /// "w" must equal the configured width; every column has num_links()
+  /// entries and each recent ring at most kWindowRingCap values.
+  template <class Io>
+  void state_io(Io& io) {
+    std::size_t version = 1;
+    io.integer("v", version, 1, 1);
+    io.fixed("w", width_);
+    io.field("completed", completed_);
+    io.column("cur_streak", links_, &LinkState::cur_streak);
+    io.column("max_streak", links_, &LinkState::max_streak);
+    io.column("flagrant", links_, &LinkState::flagrant);
+    io.column("max_theta_w", links_, &LinkState::max_theta_w);
+    io.column("recent", links_, &LinkState::recent, kWindowRingCap);
+  }
 
  private:
   struct LinkState {

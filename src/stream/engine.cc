@@ -103,16 +103,6 @@ std::vector<std::size_t> ScoreEngine::take_new_convictions() {
   return fresh;
 }
 
-void ScoreEngine::restore_counters(std::uint64_t events_seen,
-                                   std::uint64_t events_applied,
-                                   bool run_ended,
-                                   std::vector<ConvictionRecord> recorded) {
-  events_seen_ = events_seen;
-  events_applied_ = events_applied;
-  run_ended_ = run_ended;
-  recorded_ = std::move(recorded);
-}
-
 void ScoreEngine::rebaseline_convictions() {
   convicted_before_.assign(config_.num_links, false);
   for (const std::size_t link : convicted()) convicted_before_[link] = true;

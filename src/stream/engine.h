@@ -33,6 +33,9 @@
 
 namespace paai::stream {
 
+/// Path-length cap: links are indexed by the event stream's int32 field.
+inline constexpr std::size_t kMaxLinks = std::size_t{1} << 31;
+
 struct EngineConfig {
   protocols::ProtocolKind protocol = protocols::ProtocolKind::kPaai1;
   std::size_t num_links = 6;
@@ -49,7 +52,7 @@ struct ConvictionRecord {
   std::uint64_t observations = 0;
   double theta = 0.0;
   /// 1-based stream line the record arrived on (0 = unknown: in-memory
-  /// replays and legacy snapshots). Diagnostic only — never compared.
+  /// replays). Diagnostic only — never compared.
   std::uint64_t line = 0;
 };
 
@@ -118,16 +121,31 @@ class ScoreEngine {
     return recorded_;
   }
 
-  // --- snapshot plumbing (stream/state.h) ------------------------------
-  /// The configured ledger, for restoring its tables (state.cc only).
+  /// The configured ledger, for driving its mutations directly.
   protocols::ScoreLedger* mutable_ledger() {
     return ledger_ ? &*ledger_ : nullptr;
   }
 
-  /// Overwrites the stream bookkeeping from a snapshot (state.cc only; the
-  /// engine must already be configured with the matching shape).
-  void restore_counters(std::uint64_t events_seen, std::uint64_t events_applied,
-                        bool run_ended, std::vector<ConvictionRecord> recorded);
+  // --- snapshot plumbing (stream/state.h) ------------------------------
+  /// Names the stream bookkeeping and the ledger's state for the snapshot
+  /// codec (stream/state.cc), in the document's member order after the
+  /// configuration. The engine must be configured.
+  template <class Io>
+  void state_io(Io& io) {
+    io.field("events_seen", events_seen_);
+    io.field("events_applied", events_applied_);
+    ledger_->counters_io(io);
+    io.field("run_ended", run_ended_);
+    io.objects("recorded_convictions", recorded_, [&io](ConvictionRecord& r) {
+      io.integer("link", r.link, 0, kMaxLinks - 1);
+      io.field("packets", r.packets);
+      io.field("observations", r.observations);
+      io.field("theta", r.theta);
+      io.field("line", r.line);
+    });
+    ledger_->table_io(io);
+  }
+
   /// Re-baselines conviction-transition tracking at the current state
   /// (called after a restore so already-convicted links are not
   /// re-announced).

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 
@@ -17,21 +18,33 @@ namespace {
 
 bool write_snapshot(const ScoreEngine& engine, const std::string& path,
                     std::string* error) {
-  // Write-then-rename would be stronger, but the repo's tooling reads
-  // snapshots only after the writer exits; a plain truncate-write keeps
-  // the service dependency-free. The trailing newline makes the file a
-  // valid JSONL single-document too.
+  // Write "<path>.tmp" in the same directory, then rename it over `path`:
+  // a serve killed mid-write leaves the previous snapshot intact, never a
+  // torn one. No fsync: perfbench's stream-replay workload writes ~11
+  // snapshots per serve inside its timed loop, where a disk flush could
+  // move the measured serve time; a power loss can therefore still lose
+  // the newest snapshot. The trailing newline makes the file a valid
+  // JSONL single-document too.
   const obs::ScopedPhase phase(obs::Phase::kSnapshot);
-  std::ofstream out(path, std::ios::trunc);
+  const std::string tmp = path + ".tmp";
+  std::error_code ec;
+  std::ofstream out(tmp, std::ios::trunc);
   if (!out) {
-    *error = "cannot open state file '" + path + "' for writing";
+    *error = "cannot open state file '" + tmp + "' for writing";
     return false;
   }
   write_state(out, engine);
   out << '\n';
-  out.flush();
+  out.close();
   if (!out) {
-    *error = "short write to state file '" + path + "'";
+    *error = "short write to state file '" + tmp + "'";
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    *error = "cannot rename '" + tmp + "' over '" + path + "': " + ec.message();
+    std::filesystem::remove(tmp, ec);
     return false;
   }
   return true;

@@ -42,9 +42,10 @@ TEST(ScoreTable, ConvictionThreshold) {
   // theta_1 = 0.3.
   EXPECT_EQ(table.convicted(0.2), std::vector<std::size_t>{1});
   EXPECT_TRUE(table.convicted(0.35).empty());
-  table.reset();
-  EXPECT_EQ(table.observations(), 0u);
-  EXPECT_TRUE(table.convicted(0.0).empty());
+  // No observations, no verdict — even at a zero threshold.
+  const ScoreTable fresh(3, 1.0);
+  EXPECT_EQ(fresh.observations(), 0u);
+  EXPECT_TRUE(fresh.convicted(0.0).empty());
 }
 
 TEST(ScoreTable, RejectsBadConstructionAndIndices) {
@@ -189,8 +190,8 @@ TEST(Paai2ScoreTable, InterfaceBasics) {
   EXPECT_EQ(table.interval_score(3), 0u);
   EXPECT_THROW(table.add_probe(0, true), std::out_of_range);
   EXPECT_THROW(table.add_probe(7, true), std::out_of_range);
-  table.reset();
-  EXPECT_EQ(table.probes(), 0u);
+  // The rejected selections moved no counter.
+  EXPECT_EQ(table.probes(), 1u);
 }
 
 TEST(Paai2ScoreTable, IntervalScoresShowDifferenceAcrossMaliciousLink) {

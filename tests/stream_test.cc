@@ -7,7 +7,8 @@
 // including across a mid-stream snapshot/restore cycle — both from full
 // simulated runs and, with no simulator, from random mutation sequences
 // driven straight through a protocols::ScoreLedger. Around that anchor:
-// rejected events leave the state untouched, paai.state.v1 round-trips,
+// rejected events leave the state untouched, paai.state.v2 round-trips
+// and its reader fails closed (seeded mutation fuzz),
 // EventReader strictness (fuzz-style malformed input with line-numbered
 // errors), persistence-mode conviction, and the serve loop's
 // drain/snapshot behavior.
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -302,9 +304,7 @@ TEST(Snapshot, WindowedAndHybridMidStreamRestoreIsLossless) {
   }
 }
 
-// A legacy snapshot (no "window" objects, no "blame" field) must restore
-// fail-safe: accepted, margin mode, clean window ledger. A present but
-// malformed window object must be rejected, never half-applied.
+// A malformed window object must be rejected, never half-applied.
 TEST(Snapshot, WindowStateFailsClosed) {
   const BatchRun batch = run_with_log(
       runner::paper_config(protocols::ProtocolKind::kPaai1, 500, 47));
@@ -342,15 +342,18 @@ TEST(Snapshot, LoadRejectsGarbage) {
   EXPECT_FALSE(load_state("not json", &engine, &error));
   EXPECT_FALSE(load_state("{}", &engine, &error));
   EXPECT_FALSE(load_state(R"({"schema":"paai.state.v2"})", &engine, &error));
+  EXPECT_FALSE(load_state(R"({"schema":"paai.state.v1"})", &engine, &error));
+  EXPECT_NE(error.find("paai.state.v2"), std::string::npos) << error;
   // Valid schema, wrong table shape.
   EXPECT_FALSE(load_state(
-      R"({"schema":"paai.state.v1","protocol":1,"links":6,"threshold":0.018,)"
-      R"("persistence":"0","events_seen":"0","events_applied":"0",)"
+      R"({"schema":"paai.state.v2","protocol":1,"protocol_name":"PAAI-1",)"
+      R"("links":6,"threshold":0.018,"blame":"margin",)"
+      R"("events_seen":"0","events_applied":"0",)"
       R"("packets_sent":"0","delivered":"0","run_ended":false,)"
       R"("recorded_convictions":[],)"
       R"("table":{"kind":"onion","s":["0","0"],"n":"0","probes":"0"}})",
       &engine, &error));
-  EXPECT_NE(error.find("shape"), std::string::npos);
+  EXPECT_NE(error.find("shape"), std::string::npos) << error;
 }
 
 // Integer fields of a snapshot must be integers in range. An edited
@@ -523,13 +526,21 @@ void drive_batch(protocols::ScoreLedger& ledger, std::uint64_t seed,
   }
 }
 
+/// The snapshot without events_seen/events_applied: those are the
+/// stream's own bookkeeping, not ledger state.
+std::string ledger_state(const ScoreEngine& engine) {
+  std::string state = state_to_string(engine);
+  const std::size_t from = state.find(R"("events_seen")");
+  return state.erase(from, state.find(R"("packets_sent")") - from);
+}
+
 void expect_same_ledger(const ScoreEngine& want, const ScoreEngine& got) {
   EXPECT_EQ(got.packets_sent(), want.packets_sent());
   EXPECT_EQ(got.observations(), want.observations());
   EXPECT_EQ(got.observed_e2e_rate(), want.observed_e2e_rate());
   EXPECT_EQ(got.thetas(), want.thetas());  // exact double equality
   EXPECT_EQ(got.convicted(), want.convicted());
-  EXPECT_EQ(state_to_string(got), state_to_string(want));
+  EXPECT_EQ(ledger_state(got), ledger_state(want));
 }
 
 // Batch ≡ stream at the ledger level: the events a batch ledger logs,
@@ -569,10 +580,6 @@ TEST(Ledger, LoggedEventsReplayBitIdentically) {
         resumed.apply(events[i]);
       }
 
-      // events_seen/applied are the stream's own bookkeeping, not ledger
-      // state: the batch side fed nothing through apply().
-      batch.restore_counters(fresh.events_seen(), fresh.events_applied(),
-                             /*run_ended=*/false, {});
       expect_same_ledger(batch, fresh);
       expect_same_ledger(batch, resumed);
       EXPECT_GT(batch.observations(), 0u);
@@ -633,6 +640,272 @@ TEST(Ledger, RejectedFlCountChangesNothing) {
                           make_event(obs::EventKind::kFlCount, -1, 1, 5));
   expect_rejected_cleanly(engine,
                           make_event(obs::EventKind::kScoreBlame, /*link=*/3));
+}
+
+// ------------------------------------------- snapshot reader strictness
+
+/// A hybrid:3,64 snapshot three quarters of the way through a seeded
+/// ledger stream of `protocol` (drive_batch's shapes, so windows have
+/// closed), with two conviction records.
+std::string mid_stream_snapshot(protocols::ProtocolKind protocol,
+                                std::uint64_t seed) {
+  EngineConfig cfg;
+  cfg.protocol = protocol;
+  cfg.threshold = 0.02;
+  cfg.blame = protocols::BlameSpec::parse("hybrid:3,64");
+  ScoreEngine batch(cfg);
+  obs::EventLog log(1 << 16);
+  batch.mutable_ledger()->log_to(&log, /*clock=*/nullptr);
+  drive_batch(*batch.mutable_ledger(), seed, 4000);
+  EXPECT_EQ(log.dropped(), 0u);
+  const std::vector<obs::Event> events = log.merged();
+  ScoreEngine engine(cfg);
+  for (std::size_t i = 0; i < events.size() * 3 / 4; ++i) {
+    engine.apply(events[i]);
+  }
+  engine.apply(make_event(obs::EventKind::kConviction, 4, 2000, 1500, 0.05));
+  engine.apply(make_event(obs::EventKind::kConviction, 5, 2900, 2100, 0.03));
+  return state_to_string(engine);
+}
+
+// A hybrid snapshot whose "window" object is gone carries no streak or
+// flagrant history; restoring it with a clean window ledger would
+// silently drop hybrid convictions on resume, so it must be rejected.
+TEST(Snapshot, MissingWindowIsRejected) {
+  for (const auto protocol :
+       {protocols::ProtocolKind::kPaai1, protocols::ProtocolKind::kPaai2,
+        protocols::ProtocolKind::kStatisticalFl}) {
+    SCOPED_TRACE(protocols::protocol_name(protocol));
+    const std::string snapshot =
+        mid_stream_snapshot(protocol, 53);
+    ScoreEngine intact;
+    std::string error;
+    ASSERT_TRUE(load_state(snapshot, &intact, &error)) << error;
+
+    // The window object holds arrays but no objects: it ends at the
+    // first '}' after its key.
+    const std::size_t at = snapshot.find(R"(,"window":{)");
+    ASSERT_NE(at, std::string::npos) << snapshot;
+    std::string tampered = snapshot;
+    tampered.erase(at, snapshot.find('}', at) + 1 - at);
+    ScoreEngine rejected;
+    EXPECT_FALSE(load_state(tampered, &rejected, &error)) << tampered;
+    EXPECT_NE(error.find("window"), std::string::npos) << error;
+  }
+}
+
+// v1 documents, and any extra, duplicate or reordered member, are
+// rejected: the reader walks members in the writer's order. So are a
+// window width that contradicts the blame spec and non-canonical values.
+TEST(Snapshot, RejectsV1AndMemberOrderViolations) {
+  const std::string snapshot =
+      mid_stream_snapshot(protocols::ProtocolKind::kPaai1, 59);
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = snapshot.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string doc = snapshot;
+    return doc.replace(at, from.size(), to);
+  };
+  const std::size_t n_at = snapshot.find(R"("n":")");
+  ASSERT_NE(n_at, std::string::npos);
+  const std::string n_member =
+      snapshot.substr(n_at, snapshot.find(',', n_at) + 1 - n_at);
+  const std::size_t probes_at = snapshot.find(R"("probes":")");
+  const std::string probes_member =
+      snapshot.substr(probes_at, snapshot.find(',', probes_at) + 1 - probes_at);
+
+  const struct {
+    std::string doc;
+    const char* names;
+  } cases[] = {
+      // Exactly what the v1 writer produced for this state.
+      {edited(R"("paai.state.v2")", R"("paai.state.v1")")
+           .replace(snapshot.find(R"("blame")"), 0, R"("persistence":"0",)"),
+       "paai.state.v2"},
+      {edited(R"("blame")", R"("persistence":"0","blame")"), "persistence"},
+      {snapshot.substr(0, snapshot.size() - 1) + R"(,"extra":1})", "extra"},
+      {edited(n_member, n_member + n_member), "probes"},
+      {edited(n_member + probes_member, probes_member + n_member), "n"},
+      {edited(R"("run_ended")", R"("run_ended":false,"run_ended")"),
+       "recorded_convictions"},
+      // Configuration the document must agree with, and values the
+      // writer could never have produced: a non-finite double, a u64
+      // with a leading zero, a ninth value in a recent ring.
+      {edited(R"("w":"64")", R"("w":"32")"), "window.w"},
+      {edited(R"("threshold":0.02,)", R"("threshold":1e999,)"), "threshold"},
+      {edited(R"("completed":")", R"("completed":"0)"), "completed"},
+      {edited(R"("recent":[[)", R"("recent":[[0,)"), "recent"},
+  };
+  for (const auto& c : cases) {
+    ScoreEngine rejected;
+    std::string error;
+    EXPECT_FALSE(load_state(c.doc, &rejected, &error)) << c.doc;
+    EXPECT_NE(error.find(c.names), std::string::npos) << error;
+  }
+}
+
+/// Re-emits a DOM through JsonWriter, members in stored order and
+/// duplicates kept.
+void emit_json(obs::JsonWriter& w, const obs::JsonValue& v) {
+  switch (v.kind) {
+    case obs::JsonValue::Kind::kNull:
+      w.null();
+      break;
+    case obs::JsonValue::Kind::kBool:
+      w.value(v.boolean);
+      break;
+    case obs::JsonValue::Kind::kNumber:
+      w.value(v.number);
+      break;
+    case obs::JsonValue::Kind::kString:
+      w.value(v.string);
+      break;
+    case obs::JsonValue::Kind::kArray:
+      w.begin_array();
+      for (const obs::JsonValue& x : v.array) emit_json(w, x);
+      w.end_array();
+      break;
+    case obs::JsonValue::Kind::kObject:
+      w.begin_object();
+      for (const auto& [key, x] : v.object) {
+        w.key(key);
+        emit_json(w, x);
+      }
+      w.end_object();
+      break;
+  }
+}
+
+void collect_nodes(obs::JsonValue& v, std::vector<obs::JsonValue*>* objects,
+                   std::vector<obs::JsonValue*>* arrays,
+                   std::vector<obs::JsonValue*>* leaves) {
+  if (v.is_object()) {
+    objects->push_back(&v);
+    for (auto& member : v.object) {
+      collect_nodes(member.second, objects, arrays, leaves);
+    }
+  } else if (v.is_array()) {
+    arrays->push_back(&v);
+    for (obs::JsonValue& x : v.array) collect_nodes(x, objects, arrays, leaves);
+  } else {
+    leaves->push_back(&v);
+  }
+}
+
+// Seeded mutation fuzz of load_state over mid-stream hybrid snapshots of
+// all three table families: byte flips, truncation, member deletion,
+// duplication and reordering, array resizing and hostile number tokens.
+// Every mutant is rejected with an error, or loads and re-serializes to a
+// document that loads back byte-identically. Member deletion,
+// duplication and reordering must always be rejected.
+TEST(Snapshot, MutationFuzzFailsClosed) {
+  enum Op { kFlip, kTruncate, kDelete, kDuplicate, kReorder, kResize, kToken,
+            kNumOps };
+  const char* const kOpNames[] = {"flip",    "truncate", "delete", "duplicate",
+                                  "reorder", "resize",   "token"};
+  int accepted[kNumOps] = {};
+  int rejected[kNumOps] = {};
+  int bad = 0;
+  std::string first_bad;
+  Rng rng(0x5a7e5eed);
+  for (const auto protocol :
+       {protocols::ProtocolKind::kPaai1, protocols::ProtocolKind::kPaai2,
+        protocols::ProtocolKind::kStatisticalFl}) {
+    const std::string base = mid_stream_snapshot(protocol, 61);
+    const std::optional<obs::JsonValue> dom = obs::json_parse(base);
+    ASSERT_TRUE(dom.has_value());
+    for (int round = 0; round < 2100; ++round) {
+      const auto op = static_cast<Op>(round % kNumOps);
+      std::string doc;
+      if (op == kFlip || op == kTruncate) {
+        doc = base;
+        const std::size_t at = rng.next_below(doc.size());
+        if (op == kTruncate) {
+          doc.resize(at);
+        } else {
+          doc[at] = static_cast<char>(doc[at] ^ (1u << rng.next_below(8)));
+        }
+      } else {
+        obs::JsonValue mutant = *dom;
+        std::vector<obs::JsonValue*> objects, arrays, leaves;
+        collect_nodes(mutant, &objects, &arrays, &leaves);
+        if (op == kResize) {
+          obs::JsonValue& a = *arrays[rng.next_below(arrays.size())];
+          if (!a.array.empty() && rng.bernoulli(0.5)) {
+            a.array.pop_back();
+          } else {
+            obs::JsonValue filler;
+            filler.kind = obs::JsonValue::Kind::kString;
+            filler.string = "0";
+            a.array.push_back(a.array.empty() ? filler : a.array.back());
+          }
+        } else if (op == kToken) {
+          static const double kNumbers[] = {1e300, -1.0, 1.5};
+          obs::JsonValue& leaf = *leaves[rng.next_below(leaves.size())];
+          leaf = obs::JsonValue{};
+          const std::size_t pick = rng.next_below(4);
+          if (pick < 3) {
+            leaf.kind = obs::JsonValue::Kind::kNumber;
+            leaf.number = kNumbers[pick];
+          } else {
+            leaf.kind = obs::JsonValue::Kind::kString;
+            leaf.string = "18446744073709551616";  // 2^64
+          }
+        } else {
+          std::vector<obs::JsonValue*> candidates;
+          for (obs::JsonValue* o : objects) {
+            if (o->object.size() >= (op == kReorder ? 2u : 1u)) {
+              candidates.push_back(o);
+            }
+          }
+          auto& members =
+              candidates[rng.next_below(candidates.size())]->object;
+          const std::size_t i = rng.next_below(
+              members.size() - (op == kReorder ? 1 : 0));
+          if (op == kDelete) {
+            members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
+          } else if (op == kDuplicate) {
+            members.insert(members.begin() + static_cast<std::ptrdiff_t>(i),
+                           members[i]);
+          } else {
+            std::swap(members[i], members[i + 1]);
+          }
+        }
+        std::ostringstream os;
+        obs::JsonWriter w(os);
+        emit_json(w, mutant);
+        doc = os.str();
+      }
+
+      ScoreEngine engine;
+      std::string error;
+      bool ok = true;
+      if (!load_state(doc, &engine, &error)) {
+        ++rejected[op];
+        ok = !error.empty();
+      } else {
+        ++accepted[op];
+        const std::string once = state_to_string(engine);
+        ScoreEngine again;
+        ok = op != kDelete && op != kDuplicate && op != kReorder &&
+             load_state(once, &again, &error) &&
+             state_to_string(again) == once;
+      }
+      if (!ok && bad++ == 0) {
+        first_bad = std::string(kOpNames[op]) + ": " + doc;
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0) << first_bad;
+  for (int op = 0; op < kNumOps; ++op) {
+    SCOPED_TRACE(kOpNames[op]);
+    EXPECT_GT(rejected[op], 0);
+    if (op == kDelete || op == kDuplicate || op == kReorder) {
+      EXPECT_EQ(accepted[op], 0);
+    }
+  }
+  // Some mutants must survive, or the round-trip half checks nothing.
+  EXPECT_GT(accepted[kFlip] + accepted[kResize] + accepted[kToken], 0);
 }
 
 // ------------------------------------------------------- persistence rule
@@ -1644,6 +1917,46 @@ TEST(Service, SnapshotsAreReloadable) {
   std::string error;
   ASSERT_TRUE(load_state(buf.str(), &restored, &error)) << error;
   expect_equivalent(batch.result, restored, "from exit snapshot");
+}
+
+// Snapshots are written to "<path>.tmp" and renamed over the path, so a
+// reader never sees a torn document: every periodic snapshot the state
+// file holds mid-serve loads, and no temporary file outlives the serve.
+TEST(Service, PeriodicSnapshotsAreAtomic) {
+  const BatchRun batch = run_with_log(
+      runner::paper_config(protocols::ProtocolKind::kPaai1, 1000, 31));
+  const std::string state_path =
+      testing::TempDir() + "/stream_test_atomic_state.json";
+  const std::string tmp_path = state_path + ".tmp";
+  std::remove(state_path.c_str());
+  std::istringstream is(to_jsonl(batch.events));
+  ScoreEngine engine;
+  std::ostringstream log;
+  ServeConfig cfg;
+  cfg.state_out = state_path;
+  cfg.snapshot_every = 100;
+  int loaded = 0;
+  // The backlog probe runs every 256 applied events, between snapshots.
+  cfg.backlog_bytes = [&]() -> std::int64_t {
+    EXPECT_FALSE(std::ifstream(tmp_path).good());
+    std::ifstream in(state_path);
+    if (!in.good()) return 0;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    ScoreEngine restored;
+    std::string error;
+    EXPECT_TRUE(load_state(buf.str(), &restored, &error)) << error;
+    ++loaded;
+    return 0;
+  };
+  const ServeReport report = serve_stream(engine, is, log, cfg);
+  EXPECT_FALSE(report.failed) << report.error;
+  EXPECT_GE(loaded, 2);
+  EXPECT_FALSE(std::ifstream(tmp_path).good());
+  std::ifstream in(state_path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), state_to_string(engine) + "\n");
 }
 
 // --------------------------------------------------------- the producer

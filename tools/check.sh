@@ -61,7 +61,9 @@
 #      --blame=hybrid at the paper's 60k-packet horizon, and the same
 #      hybrid detector must convict nobody on an honest path under every
 #      shipped benign fault plan — the windowed clauses must not reopen
-#      the Theorem 2 false-accusation door.
+#      the Theorem 2 false-accusation door. The colluder run's event log,
+#      served to a snapshot at 3/4 and replayed from it, must still
+#      verify and convict l_4 (window state survives a restart).
 #
 #   9. telemetry smoke — `paai serve` with --telemetry-out over the leg-6
 #      reference stream must emit >= 2 paai.telemetry.v1 lines that the
@@ -189,7 +191,7 @@ echo "== leg 6: serve-mode smoke (stream engine replay + snapshot/restore) =="
 # reproduce the batch verdict bit-identically (`replay --verify` diffs the
 # engine's conviction set, thetas, and observation counts against the
 # stream's own kConviction records), including when the stream is cut in
-# half and the engine round-trips through a paai.state.v1 snapshot.
+# half and the engine round-trips through a paai.state.v2 snapshot.
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=8000 --seed=1 \
     --fault=4:0.02 --events-out="$SMOKE_DIR/stream.jsonl" \
     --events-cap=200000 > "$SMOKE_DIR/stream_run.stdout"
@@ -282,6 +284,7 @@ echo "== leg 8: detector smoke (multi-level blame modes) =="
 "$ASAN_DIR/tools/paai" run --protocol=paai1 --packets=60000 --seed=900 \
     --blame=hybrid --adversary='collude@4:rate=1' \
     --faults='ge@2:pg=0.005,pb=0.3,g2b=0.003,b2g=0.15' \
+    --events-out="$SMOKE_DIR/hybrid.jsonl" --events-cap=1000000 \
     > "$SMOKE_DIR/hybrid.stdout"
 grep -q "CONVICTED" "$SMOKE_DIR/hybrid.stdout" || {
   echo "leg 8 FAILED: hybrid blame mode did not convict the colluder:" >&2
@@ -291,6 +294,29 @@ grep -q "CONVICTED" "$SMOKE_DIR/hybrid.stdout" || {
 grep "CONVICTED" "$SMOKE_DIR/hybrid.stdout" | grep -q "l_4" || {
   echo "leg 8 FAILED: hybrid conviction names the wrong link:" >&2
   cat "$SMOKE_DIR/hybrid.stdout" >&2
+  exit 1
+}
+# The hybrid verdict rests on window state (hot streaks), which only the
+# paai.state.v2 "window" objects carry across a restart: serve the first
+# 3/4 of the run's log to a snapshot, then replay the rest from it.
+hybrid_lines=$(wc -l < "$SMOKE_DIR/hybrid.jsonl")
+hybrid_head=$((hybrid_lines * 3 / 4))
+head -n "$hybrid_head" "$SMOKE_DIR/hybrid.jsonl" > "$SMOKE_DIR/hybrid_head.jsonl"
+tail -n +"$((hybrid_head + 1))" "$SMOKE_DIR/hybrid.jsonl" \
+    > "$SMOKE_DIR/hybrid_rest.jsonl"
+"$ASAN_DIR/tools/paai" serve --in="$SMOKE_DIR/hybrid_head.jsonl" \
+    --state-out="$SMOKE_DIR/hybrid_state.json" > "$SMOKE_DIR/hybrid_serve.stdout"
+"$ASAN_DIR/tools/paai" replay "$SMOKE_DIR/hybrid_rest.jsonl" \
+    --state-in="$SMOKE_DIR/hybrid_state.json" --verify \
+    > "$SMOKE_DIR/hybrid_resumed.stdout" || {
+  echo "leg 8 FAILED: hybrid replay from a mid-log snapshot diverged:" >&2
+  cat "$SMOKE_DIR/hybrid_resumed.stdout" >&2
+  exit 1
+}
+grep -q "verify: OK" "$SMOKE_DIR/hybrid_resumed.stdout" &&
+  grep "CONVICTED" "$SMOKE_DIR/hybrid_resumed.stdout" | grep -q "l_4" || {
+  echo "leg 8 FAILED: resumed hybrid replay did not verify or convict l_4:" >&2
+  cat "$SMOKE_DIR/hybrid_resumed.stdout" >&2
   exit 1
 }
 # The other side of the bargain: on an honest path, hybrid's extra

@@ -86,7 +86,9 @@
 //
 // Serve/replay options:
 //   --in=PATH         JSONL event source; '-' = stdin     (serve default -)
-//   --state-in=F      restore engine state (paai.state.v1) before reading
+//   --state-in=F      restore engine state (paai.state.v2) before reading;
+//                     older snapshots are rejected — rebuild one with
+//                     `paai replay LOG --state-out=F`
 //   --state-out=F     snapshot target; written every --snapshot-every
 //                     applied events and once on every exit path
 //   --snapshot-every=N  periodic snapshot cadence (applied events; 0=off)
